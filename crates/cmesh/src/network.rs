@@ -21,6 +21,9 @@ use std::time::Instant;
 
 pub mod snapshot;
 
+#[cfg(test)]
+mod golden_checkpoint;
+
 /// Result summary of one CMESH run (subset of PEARL's `RunSummary`
 /// fields, since there is no laser).
 #[derive(Debug, Clone)]

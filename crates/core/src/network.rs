@@ -42,6 +42,9 @@ use std::time::Instant;
 
 pub mod snapshot;
 
+#[cfg(test)]
+mod golden_checkpoint;
+
 /// A packet in optical flight towards its destination.
 #[derive(Debug, Clone)]
 struct InFlight {
