@@ -19,9 +19,10 @@
 //! The resume contract is *bit-identity*: run N cycles, checkpoint,
 //! restore, run M more — every statistic, trace event and state hash
 //! must equal an uninterrupted N+M run. JSON numbers are `f64` and lossy
-//! above 2⁵³, so this module's codecs never put state through them:
-//! `u64`/`u128` counters are decimal strings, and `f64` values are the
-//! hexadecimal form of their IEEE-754 bit pattern (exact for every
+//! above 2⁵³, so no state goes through them: every value is written by
+//! its [`Snap`] impl, and the exactness rules live in those impls, one
+//! each. `u64`/`u128` counters are decimal strings, and `f64` values are
+//! the hexadecimal form of their IEEE-754 bit pattern (exact for every
 //! value, including `-0.0`, subnormals and NaN payloads). Plain JSON
 //! numbers are reserved for small structural indices (node ids, ports,
 //! enum discriminants).
@@ -44,6 +45,7 @@ use pearl_noc::{
 use pearl_photonics::fault::FaultEventKind;
 use pearl_photonics::{FaultModelState, FaultStats, LaserState, WavelengthState};
 use pearl_workloads::{InjectorState, RngState, TrafficState};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::path::Path;
 
@@ -173,81 +175,215 @@ pub fn atomic_write_file_with(
 }
 
 // ---------------------------------------------------------------------------
-// Bit-exact scalar codecs
+// The codec
 // ---------------------------------------------------------------------------
 
-/// Encodes a `u64` as a decimal string (exact for the full range).
-pub fn u64_to_json(v: u64) -> JsonValue {
-    JsonValue::str(v.to_string())
+/// A value's checkpoint codec (see the module docs for the exactness
+/// rules). Enums are written by their index in an `ALL` enumeration
+/// ([`snap_enum!`](crate::snap_enum)). Containers compose: `Option` is
+/// `null` or the value; `Vec`, `VecDeque`, `[T; N]` and tuples are
+/// arrays, the last two length-checked; `HashMap<u64, _>` is
+/// `[key, value]` pairs sorted by key. Plain-data structs derive their
+/// codec from a field list with [`snap_struct!`](crate::snap_struct).
+pub trait Snap: Sized {
+    /// Encodes the value.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::BadShape`] when the value lies outside its
+    /// encoding domain (an enum value missing from its enumeration).
+    fn encode(&self) -> Result<JsonValue, SnapshotError>;
+
+    /// Decodes a value written by [`Snap::encode`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::BadShape`] naming `context`, the enclosing
+    /// field, on any mismatch.
+    fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError>;
 }
 
-/// Decodes a `u64` written by [`u64_to_json`].
+fn bad_shape(context: &'static str) -> SnapshotError {
+    SnapshotError::BadShape { context }
+}
+
+/// Decimal strings: exact over the full range, where a JSON number
+/// (an `f64`) would round above 2⁵³.
+macro_rules! decimal_snap {
+    ($($t:ty),*) => {$(
+        impl Snap for $t {
+            fn encode(&self) -> Result<JsonValue, SnapshotError> {
+                Ok(JsonValue::str(self.to_string()))
+            }
+
+            fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+                v.as_str().and_then(|s| s.parse().ok()).ok_or(bad_shape(context))
+            }
+        }
+    )*};
+}
+
+decimal_snap!(u64, u128);
+
+/// Plain JSON numbers, reserved for small structural indices (node ids,
+/// ports, VC numbers, slot counts) far below 2⁵³. A decoded value that
+/// does not fit the target type is refused, never truncated.
+macro_rules! index_snap {
+    ($($t:ty),*) => {$(
+        impl Snap for $t {
+            fn encode(&self) -> Result<JsonValue, SnapshotError> {
+                Ok(JsonValue::u64(*self as u64))
+            }
+
+            fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+                v.as_u64().and_then(|n| <$t>::try_from(n).ok()).ok_or(bad_shape(context))
+            }
+        }
+    )*};
+}
+
+index_snap!(usize, u32);
+
+/// The IEEE-754 bits as 16 hex digits: exact for every value, including
+/// `-0.0`, subnormals, infinities and NaN payloads, where a decimal
+/// round trip could perturb the low bits.
+impl Snap for f64 {
+    fn encode(&self) -> Result<JsonValue, SnapshotError> {
+        Ok(JsonValue::str(format!("{:016x}", self.to_bits())))
+    }
+
+    fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+        v.as_str()
+            .and_then(|s| u64::from_str_radix(s, 16).ok())
+            .map(f64::from_bits)
+            .ok_or(bad_shape(context))
+    }
+}
+
+impl Snap for bool {
+    fn encode(&self) -> Result<JsonValue, SnapshotError> {
+        Ok(JsonValue::Bool(*self))
+    }
+
+    fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+        match v {
+            JsonValue::Bool(b) => Ok(*b),
+            _ => Err(bad_shape(context)),
+        }
+    }
+}
+
+/// Newtypes travel as their inner value.
+macro_rules! newtype_snap {
+    ($($t:ident($inner:ty)),*) => {$(
+        impl Snap for $t {
+            fn encode(&self) -> Result<JsonValue, SnapshotError> {
+                self.0.encode()
+            }
+
+            fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+                <$inner>::decode(v, context).map($t)
+            }
+        }
+    )*};
+}
+
+newtype_snap!(Cycle(u64), NodeId(usize));
+
+impl<T: Snap> Snap for Option<T> {
+    fn encode(&self) -> Result<JsonValue, SnapshotError> {
+        self.as_ref().map_or(Ok(JsonValue::Null), Snap::encode)
+    }
+
+    fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+        match v {
+            JsonValue::Null => Ok(None),
+            other => T::decode(other, context).map(Some),
+        }
+    }
+}
+
+/// Encodes a sequence as a JSON array.
 ///
 /// # Errors
 ///
-/// Returns [`SnapshotError::BadShape`] naming `context` on mismatch.
-pub fn u64_from_json(v: &JsonValue, context: &'static str) -> Result<u64, SnapshotError> {
-    v.as_str().and_then(|s| s.parse().ok()).ok_or(SnapshotError::BadShape { context })
+/// The first element's encoding error.
+pub fn encode_seq<'a, T: Snap + 'a>(
+    items: impl IntoIterator<Item = &'a T>,
+) -> Result<JsonValue, SnapshotError> {
+    items.into_iter().map(Snap::encode).collect::<Result<_, _>>().map(JsonValue::Arr)
 }
 
-/// Encodes a `u128` as a decimal string (exact for the full range).
-pub fn u128_to_json(v: u128) -> JsonValue {
-    JsonValue::str(v.to_string())
+fn decode_seq<C: FromIterator<T>, T: Snap>(
+    v: &JsonValue,
+    context: &'static str,
+) -> Result<C, SnapshotError> {
+    let items = v.as_arr().ok_or(bad_shape(context))?;
+    items.iter().map(|item| T::decode(item, context)).collect()
 }
 
-/// Decodes a `u128` written by [`u128_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] naming `context` on mismatch.
-pub fn u128_from_json(v: &JsonValue, context: &'static str) -> Result<u128, SnapshotError> {
-    v.as_str().and_then(|s| s.parse().ok()).ok_or(SnapshotError::BadShape { context })
+macro_rules! seq_snap {
+    ($($seq:ident),*) => {$(
+        impl<T: Snap> Snap for $seq<T> {
+            fn encode(&self) -> Result<JsonValue, SnapshotError> {
+                encode_seq(self)
+            }
+
+            fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+                decode_seq(v, context)
+            }
+        }
+    )*};
 }
 
-/// Encodes an `f64` as the 16-hex-digit form of its IEEE-754 bits —
-/// exact for every value, including `-0.0`, subnormals, infinities and
-/// NaN payloads (a decimal round-trip could perturb the low bits).
-pub fn f64_to_json(v: f64) -> JsonValue {
-    JsonValue::str(format!("{:016x}", v.to_bits()))
+seq_snap!(Vec, VecDeque);
+
+impl<T: Snap, const N: usize> Snap for [T; N] {
+    fn encode(&self) -> Result<JsonValue, SnapshotError> {
+        encode_seq(self)
+    }
+
+    fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+        let items: Vec<T> = decode_seq(v, context)?;
+        items.try_into().map_err(|_| bad_shape(context))
+    }
 }
 
-/// Decodes an `f64` written by [`f64_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] naming `context` on mismatch.
-pub fn f64_from_json(v: &JsonValue, context: &'static str) -> Result<f64, SnapshotError> {
-    v.as_str()
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .map(f64::from_bits)
-        .ok_or(SnapshotError::BadShape { context })
+macro_rules! tuple_snap {
+    ($($t:ident $x:ident),+) => {
+        impl<$($t: Snap),+> Snap for ($($t,)+) {
+            fn encode(&self) -> Result<JsonValue, SnapshotError> {
+                let ($($x,)+) = self;
+                Ok(JsonValue::Arr(vec![$($x.encode()?),+]))
+            }
+
+            fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+                let [$($x),+] = fixed_array(v, context)?;
+                Ok(($($t::decode($x, context)?,)+))
+            }
+        }
+    };
 }
 
-/// Encodes a small structural index (node id, port, enum discriminant)
-/// as a plain JSON number. Callers must guarantee the value is far below
-/// 2⁵³; counters and ids must use [`u64_to_json`] instead.
-pub fn usize_to_json(v: usize) -> JsonValue {
-    JsonValue::u64(v as u64)
-}
+tuple_snap!(A a, B b);
+tuple_snap!(A a, B b, C c);
 
-/// Decodes a small structural index written by [`usize_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] naming `context` on mismatch.
-pub fn usize_from_json(v: &JsonValue, context: &'static str) -> Result<usize, SnapshotError> {
-    v.as_u64().map(|n| n as usize).ok_or(SnapshotError::BadShape { context })
-}
+/// Maps keyed by packet id, as `[key, value]` pairs sorted by key:
+/// `HashMap` iteration order is unspecified, and equal maps must
+/// serialize to equal bytes for the state hash to mean anything.
+impl<V: Snap> Snap for HashMap<u64, V> {
+    fn encode(&self) -> Result<JsonValue, SnapshotError> {
+        let mut entries: Vec<_> = self.iter().collect();
+        entries.sort_unstable_by_key(|(key, _)| **key);
+        entries
+            .into_iter()
+            .map(|(key, value)| Ok(JsonValue::Arr(vec![key.encode()?, value.encode()?])))
+            .collect::<Result<_, _>>()
+            .map(JsonValue::Arr)
+    }
 
-/// Decodes a JSON boolean.
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] naming `context` on mismatch.
-pub fn bool_from_json(v: &JsonValue, context: &'static str) -> Result<bool, SnapshotError> {
-    match v {
-        JsonValue::Bool(b) => Ok(*b),
-        _ => Err(SnapshotError::BadShape { context }),
+    fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+        decode_seq::<_, (u64, V)>(v, context)
     }
 }
 
@@ -257,551 +393,298 @@ pub fn bool_from_json(v: &JsonValue, context: &'static str) -> Result<bool, Snap
 ///
 /// Returns [`SnapshotError::BadShape`] naming `key` when absent.
 pub fn field<'a>(v: &'a JsonValue, key: &'static str) -> Result<&'a JsonValue, SnapshotError> {
-    v.get(key).ok_or(SnapshotError::BadShape { context: key })
+    v.get(key).ok_or(bad_shape(key))
 }
 
-/// Views a value as an array.
+/// Decodes the object field `key`, naming it in any error.
+///
+/// # Errors
+///
+/// Returns [`SnapshotError::BadShape`] naming `key` when the field is
+/// absent or does not decode.
+pub fn decode_field<T: Snap>(v: &JsonValue, key: &'static str) -> Result<T, SnapshotError> {
+    T::decode(field(v, key)?, key)
+}
+
+/// Refuses a decoded collection whose length (`found`) disagrees with
+/// the live network's (`expected`).
 ///
 /// # Errors
 ///
 /// Returns [`SnapshotError::BadShape`] naming `context` on mismatch.
-pub fn as_array<'a>(
-    v: &'a JsonValue,
+pub fn check_len(
+    found: usize,
+    expected: usize,
     context: &'static str,
-) -> Result<&'a [JsonValue], SnapshotError> {
-    v.as_arr().ok_or(SnapshotError::BadShape { context })
+) -> Result<(), SnapshotError> {
+    if found == expected {
+        Ok(())
+    } else {
+        Err(bad_shape(context))
+    }
 }
 
-fn fixed_array<'a, const N: usize>(
+/// Views a value as an array of exactly `N` items.
+///
+/// # Errors
+///
+/// Returns [`SnapshotError::BadShape`] naming `context` on mismatch.
+pub fn fixed_array<'a, const N: usize>(
     v: &'a JsonValue,
     context: &'static str,
-) -> Result<[&'a JsonValue; N], SnapshotError> {
-    let items = as_array(v, context)?;
-    if items.len() != N {
-        return Err(SnapshotError::BadShape { context });
-    }
-    let mut out = [&JsonValue::Null; N];
-    for (slot, item) in out.iter_mut().zip(items) {
-        *slot = item;
-    }
-    Ok(out)
+) -> Result<&'a [JsonValue; N], SnapshotError> {
+    v.as_arr().and_then(|items| items.try_into().ok()).ok_or(bad_shape(context))
 }
 
-// ---------------------------------------------------------------------------
-// Enum codecs (stable `ALL`-array indices)
-// ---------------------------------------------------------------------------
+/// Encodes an enum value as its index in `all`, its stable enumeration.
+///
+/// A value missing from `all` is a [`SnapshotError::BadShape`], never
+/// index 0: collapsing it to the first variant would corrupt the
+/// checkpoint with no diagnostic. [`enum_from_index`] refuses an
+/// out-of-range index the same way.
+///
+/// # Errors
+///
+/// [`SnapshotError::BadShape`] naming `context` when `v` is not in `all`.
+pub fn enum_index<T: Copy + PartialEq>(
+    all: &[T],
+    v: T,
+    context: &'static str,
+) -> Result<JsonValue, SnapshotError> {
+    all.iter().position(|x| *x == v).ok_or(bad_shape(context))?.encode()
+}
 
-fn enum_from_index<T: Copy>(
+/// Decodes an enum value written by [`enum_index`].
+///
+/// # Errors
+///
+/// [`SnapshotError::BadShape`] naming `context` on an index outside `all`.
+pub fn enum_from_index<T: Copy>(
     all: &[T],
     v: &JsonValue,
     context: &'static str,
 ) -> Result<T, SnapshotError> {
-    let i = usize_from_json(v, context)?;
-    all.get(i).copied().ok_or(SnapshotError::BadShape { context })
+    all.get(usize::decode(v, context)?).copied().ok_or(bad_shape(context))
 }
 
-/// Encodes a [`CoreType`] by its [`CoreType::ALL`] index.
-pub fn core_type_to_json(v: CoreType) -> JsonValue {
-    usize_to_json(match v {
-        CoreType::Cpu => 0,
-        CoreType::Gpu => 1,
-    })
+/// Implements [`Snap`] for enums through their `ALL` enumerations
+/// ([`enum_index`] / [`enum_from_index`]):
+/// `snap_enum!(Mode => Mode::ALL, Kind => KIND_ORDER);`.
+#[macro_export]
+macro_rules! snap_enum {
+    ($($ty:ty => $all:expr),+ $(,)?) => {$(
+        impl $crate::snapshot::Snap for $ty {
+            fn encode(&self) -> ::std::result::Result<$crate::JsonValue, $crate::SnapshotError> {
+                $crate::snapshot::enum_index(&$all, *self, stringify!($ty))
+            }
+
+            fn decode(
+                v: &$crate::JsonValue,
+                context: &'static str,
+            ) -> ::std::result::Result<Self, $crate::SnapshotError> {
+                $crate::snapshot::enum_from_index(&$all, v, context)
+            }
+        }
+    )+};
 }
 
-/// Decodes a [`CoreType`] written by [`core_type_to_json`].
+/// Implements [`Snap`] for a plain-data struct from its field list, in
+/// wire order. Two forms:
 ///
-/// # Errors
+/// - object: `snap_struct!(State { field => "key", ... })` writes
+///   `{"key": field, ...}`;
+/// - positional: `snap_struct!(Entry [a, b, c])` writes `[a, b, c]` and
+///   refuses any other length.
 ///
-/// Returns [`SnapshotError::BadShape`] on an out-of-range index.
-pub fn core_type_from_json(v: &JsonValue) -> Result<CoreType, SnapshotError> {
-    enum_from_index(&CoreType::ALL, v, "core_type")
-}
+/// A field written as `field as Wire` travels as the type `Wire`,
+/// converted with `Wire::from` on encode and `TryFrom` on decode (a
+/// failed conversion is a [`SnapshotError::BadShape`]).
+#[macro_export]
+macro_rules! snap_struct {
+    (@encode $value:expr) => {
+        $crate::snapshot::Snap::encode(&$value)?
+    };
+    (@encode $value:expr, $wire:ident) => {
+        $crate::snapshot::Snap::encode(&$wire::from(::std::clone::Clone::clone(&$value)))?
+    };
+    (@decode $json:expr, $context:expr) => {
+        $crate::snapshot::Snap::decode($json, $context)?
+    };
+    (@decode $json:expr, $context:expr, $wire:ident) => {
+        ::std::convert::TryFrom::try_from(
+            <$wire as $crate::snapshot::Snap>::decode($json, $context)?,
+        )
+        .map_err(|_| $crate::SnapshotError::BadShape { context: $context })?
+    };
+    ($ty:ty { $($field:ident $(as $wire:ident)? => $key:literal),+ $(,)? }) => {
+        impl $crate::snapshot::Snap for $ty {
+            fn encode(&self) -> ::std::result::Result<$crate::JsonValue, $crate::SnapshotError> {
+                Ok($crate::JsonValue::obj(vec![
+                    $(($key, $crate::snap_struct!(@encode self.$field $(, $wire)?)),)+
+                ]))
+            }
 
-/// Encodes a [`WavelengthState`] by its [`WavelengthState::index`].
-pub fn wavelength_state_to_json(v: WavelengthState) -> JsonValue {
-    usize_to_json(v.index())
-}
+            fn decode(
+                v: &$crate::JsonValue,
+                _context: &'static str,
+            ) -> ::std::result::Result<Self, $crate::SnapshotError> {
+                Ok(Self {
+                    $($field: $crate::snap_struct!(
+                        @decode $crate::snapshot::field(v, $key)?, $key $(, $wire)?
+                    ),)+
+                })
+            }
+        }
+    };
+    ($ty:ty [$($field:ident $(as $wire:ident)?),+ $(,)?]) => {
+        impl $crate::snapshot::Snap for $ty {
+            fn encode(&self) -> ::std::result::Result<$crate::JsonValue, $crate::SnapshotError> {
+                Ok($crate::JsonValue::Arr(vec![
+                    $($crate::snap_struct!(@encode self.$field $(, $wire)?),)+
+                ]))
+            }
 
-/// Decodes a [`WavelengthState`] written by [`wavelength_state_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on an out-of-range index.
-pub fn wavelength_state_from_json(v: &JsonValue) -> Result<WavelengthState, SnapshotError> {
-    enum_from_index(&WavelengthState::ALL, v, "wavelength_state")
+            fn decode(
+                v: &$crate::JsonValue,
+                context: &'static str,
+            ) -> ::std::result::Result<Self, $crate::SnapshotError> {
+                let [$($field),+] = $crate::snapshot::fixed_array(v, context)?;
+                Ok(Self { $($field: $crate::snap_struct!(@decode $field, context $(, $wire)?),)+ })
+            }
+        }
+    };
 }
 
 // ---------------------------------------------------------------------------
-// Packet / flit codecs
+// Shared simulator state
 // ---------------------------------------------------------------------------
 
-/// Encodes a [`Packet`] as a compact positional array:
-/// `[id, src, dst, core, kind, class, injected_at]`.
-pub fn packet_to_json(p: &Packet) -> JsonValue {
-    JsonValue::Arr(vec![
-        u64_to_json(p.id),
-        usize_to_json(p.src.0),
-        usize_to_json(p.dst.0),
-        core_type_to_json(p.core),
-        usize_to_json(match p.kind {
-            PacketKind::Request => 0,
-            PacketKind::Response => 1,
-        }),
-        usize_to_json(p.class.index()),
-        u64_to_json(p.injected_at.0),
-    ])
-}
-
-/// Decodes a [`Packet`] written by [`packet_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on any field mismatch.
-pub fn packet_from_json(v: &JsonValue) -> Result<Packet, SnapshotError> {
-    let [id, src, dst, core, kind, class, injected_at] = fixed_array(v, "packet")?;
-    Ok(Packet {
-        id: u64_from_json(id, "packet.id")?,
-        src: NodeId(usize_from_json(src, "packet.src")?),
-        dst: NodeId(usize_from_json(dst, "packet.dst")?),
-        core: core_type_from_json(core)?,
-        kind: enum_from_index(&PacketKind::ALL, kind, "packet.kind")?,
-        class: enum_from_index(&TrafficClass::ALL, class, "packet.class")?,
-        injected_at: Cycle(u64_from_json(injected_at, "packet.injected_at")?),
-    })
-}
-
+/// Flit kinds in their stable wire order.
 const FLIT_KINDS: [FlitKind; 4] =
     [FlitKind::Head, FlitKind::Body, FlitKind::Tail, FlitKind::HeadTail];
 
-/// Encodes a [`Flit`] as `[packet_id, kind, index, packet|null]`.
-pub fn flit_to_json(f: &Flit) -> JsonValue {
-    JsonValue::Arr(vec![
-        u64_to_json(f.packet_id),
-        usize_to_json(FLIT_KINDS.iter().position(|k| *k == f.kind).unwrap_or(0)),
-        usize_to_json(f.index as usize),
-        f.packet.as_ref().map_or(JsonValue::Null, packet_to_json),
-    ])
-}
+snap_enum!(
+    CoreType => CoreType::ALL,
+    PacketKind => PacketKind::ALL,
+    TrafficClass => TrafficClass::ALL,
+    FlitKind => FLIT_KINDS,
+    WavelengthState => WavelengthState::ALL,
+    FaultEventKind => FaultEventKind::ALL,
+);
 
-/// Decodes a [`Flit`] written by [`flit_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on any field mismatch.
-pub fn flit_from_json(v: &JsonValue) -> Result<Flit, SnapshotError> {
-    let [packet_id, kind, index, packet] = fixed_array(v, "flit")?;
-    Ok(Flit {
-        packet_id: u64_from_json(packet_id, "flit.packet_id")?,
-        kind: enum_from_index(&FLIT_KINDS, kind, "flit.kind")?,
-        index: usize_from_json(index, "flit.index")? as u32,
-        packet: match packet {
-            JsonValue::Null => None,
-            other => Some(packet_from_json(other)?),
-        },
-    })
-}
+snap_struct!(Packet [id, src, dst, core, kind, class, injected_at]);
 
-// ---------------------------------------------------------------------------
-// Buffer / VC / stats codecs
-// ---------------------------------------------------------------------------
+snap_struct!(Flit [packet_id, kind, index, packet]);
 
-/// Encodes a [`BufferState`] captured from a `PacketBuffer`.
-pub fn buffer_state_to_json(s: &BufferState) -> JsonValue {
-    JsonValue::obj(vec![
-        ("packets", JsonValue::Arr(s.packets.iter().map(packet_to_json).collect())),
-        ("slot_cycles", u64_to_json(s.accumulated_slot_cycles)),
-        ("cycles", u64_to_json(s.accumulated_cycles)),
-        ("rejections", u64_to_json(s.rejections)),
-    ])
-}
+snap_struct!(BufferState {
+    packets => "packets",
+    accumulated_slot_cycles => "slot_cycles",
+    accumulated_cycles => "cycles",
+    rejections => "rejections",
+});
 
-/// Decodes a [`BufferState`] written by [`buffer_state_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on any field mismatch.
-pub fn buffer_state_from_json(v: &JsonValue) -> Result<BufferState, SnapshotError> {
-    Ok(BufferState {
-        packets: as_array(field(v, "packets")?, "packets")?
-            .iter()
-            .map(packet_from_json)
-            .collect::<Result<_, _>>()?,
-        accumulated_slot_cycles: u64_from_json(field(v, "slot_cycles")?, "slot_cycles")?,
-        accumulated_cycles: u64_from_json(field(v, "cycles")?, "cycles")?,
-        rejections: u64_from_json(field(v, "rejections")?, "rejections")?,
-    })
-}
+snap_struct!(VcState {
+    flits => "flits",
+    inflow => "inflow",
+    route => "route",
+});
 
-/// Encodes a [`VcState`] captured from a `VirtualChannel`.
-pub fn vc_state_to_json(s: &VcState) -> JsonValue {
-    JsonValue::obj(vec![
-        ("flits", JsonValue::Arr(s.flits.iter().map(flit_to_json).collect())),
-        ("inflow", s.inflow.map_or(JsonValue::Null, u64_to_json)),
-        ("route", s.route.map_or(JsonValue::Null, usize_to_json)),
-    ])
-}
+snap_struct!(StatsState {
+    cycles => "cycles",
+    injected_packets => "injected",
+    delivered_packets => "delivered",
+    delivered_flits => "flits",
+    delivered_bits => "bits",
+    injection_stalls => "stalls",
+    corrupted_packets => "corrupted",
+    retransmitted_packets => "retransmitted",
+    retransmit_backoff_cycles => "backoff_cycles",
+    latency => "latency",
+    hist_buckets => "hist_buckets",
+    hist_count => "hist_count",
+    laser_energy_j => "laser_j",
+    heating_energy_j => "heating_j",
+    modulation_energy_j => "modulation_j",
+    electrical_energy_j => "electrical_j",
+});
 
-/// Decodes a [`VcState`] written by [`vc_state_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on any field mismatch.
-pub fn vc_state_from_json(v: &JsonValue) -> Result<VcState, SnapshotError> {
-    Ok(VcState {
-        flits: as_array(field(v, "flits")?, "flits")?
-            .iter()
-            .map(flit_from_json)
-            .collect::<Result<_, _>>()?,
-        inflow: match field(v, "inflow")? {
-            JsonValue::Null => None,
-            other => Some(u64_from_json(other, "inflow")?),
-        },
-        route: match field(v, "route")? {
-            JsonValue::Null => None,
-            other => Some(usize_from_json(other, "route")?),
-        },
-    })
-}
+snap_struct!(LaserState {
+    powered => "powered",
+    usable => "usable",
+    stabilize_until => "stabilize_until",
+    transitions => "transitions",
+    residency => "residency",
+    stall_cycles => "stall_cycles",
+    transition_log => "log",
+});
 
-fn u64_pair_array(values: &[u64]) -> JsonValue {
-    JsonValue::Arr(values.iter().map(|&v| u64_to_json(v)).collect())
-}
+snap_struct!(FaultStats [
+    lambda_failures,
+    lambda_repairs,
+    laser_degradations,
+    laser_recoveries,
+    corrupted_packets,
+]);
 
-fn u64_vec_from_json(v: &JsonValue, context: &'static str) -> Result<Vec<u64>, SnapshotError> {
-    as_array(v, context)?.iter().map(|x| u64_from_json(x, context)).collect()
-}
+snap_struct!(FaultModelState {
+    routers => "routers",
+    structural_rng as RngState => "structural_rng",
+    corruption_rng as RngState => "corruption_rng",
+    stats => "stats",
+    log_events => "log_events",
+    event_log => "event_log",
+});
 
-/// Encodes a [`StatsState`] captured from `NetworkStats`.
-pub fn stats_state_to_json(s: &StatsState) -> JsonValue {
-    let latency = JsonValue::Arr(
-        s.latency
-            .iter()
-            .map(|&(count, sum, max)| {
-                JsonValue::Arr(vec![u64_to_json(count), u128_to_json(sum), u64_to_json(max)])
-            })
-            .collect(),
-    );
-    JsonValue::obj(vec![
-        ("cycles", u64_to_json(s.cycles)),
-        ("injected", u64_pair_array(&s.injected_packets)),
-        ("delivered", u64_pair_array(&s.delivered_packets)),
-        ("flits", u64_pair_array(&s.delivered_flits)),
-        ("bits", u64_to_json(s.delivered_bits)),
-        ("stalls", u64_to_json(s.injection_stalls)),
-        ("corrupted", u64_to_json(s.corrupted_packets)),
-        ("retransmitted", u64_to_json(s.retransmitted_packets)),
-        ("backoff_cycles", u64_to_json(s.retransmit_backoff_cycles)),
-        ("latency", latency),
-        ("hist_buckets", u64_pair_array(&s.hist_buckets)),
-        ("hist_count", u64_to_json(s.hist_count)),
-        ("laser_j", f64_to_json(s.laser_energy_j)),
-        ("heating_j", f64_to_json(s.heating_energy_j)),
-        ("modulation_j", f64_to_json(s.modulation_energy_j)),
-        ("electrical_j", f64_to_json(s.electrical_energy_j)),
-    ])
-}
-
-fn u64_duo(v: &JsonValue, context: &'static str) -> Result<[u64; 2], SnapshotError> {
-    let [a, b] = fixed_array(v, context)?;
-    Ok([u64_from_json(a, context)?, u64_from_json(b, context)?])
-}
-
-/// Decodes a [`StatsState`] written by [`stats_state_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on any field mismatch.
-pub fn stats_state_from_json(v: &JsonValue) -> Result<StatsState, SnapshotError> {
-    let latency_items = as_array(field(v, "latency")?, "latency")?;
-    if latency_items.len() != 2 {
-        return Err(SnapshotError::BadShape { context: "latency" });
+/// An RNG stream position, flattened to `[w0, w1, w2, w3, draws]`.
+impl Snap for RngState {
+    fn encode(&self) -> Result<JsonValue, SnapshotError> {
+        let [w0, w1, w2, w3] = self.words;
+        [w0, w1, w2, w3, self.draws].encode()
     }
-    let mut latency = [(0u64, 0u128, 0u64); 2];
-    for (slot, item) in latency.iter_mut().zip(latency_items) {
-        let [count, sum, max] = fixed_array(item, "latency")?;
-        *slot = (
-            u64_from_json(count, "latency.count")?,
-            u128_from_json(sum, "latency.sum")?,
-            u64_from_json(max, "latency.max")?,
-        );
+
+    fn decode(v: &JsonValue, context: &'static str) -> Result<Self, SnapshotError> {
+        let [w0, w1, w2, w3, draws] = <[u64; 5]>::decode(v, context)?;
+        Ok(RngState { words: [w0, w1, w2, w3], draws })
     }
-    Ok(StatsState {
-        cycles: u64_from_json(field(v, "cycles")?, "cycles")?,
-        injected_packets: u64_duo(field(v, "injected")?, "injected")?,
-        delivered_packets: u64_duo(field(v, "delivered")?, "delivered")?,
-        delivered_flits: u64_duo(field(v, "flits")?, "flits")?,
-        delivered_bits: u64_from_json(field(v, "bits")?, "bits")?,
-        injection_stalls: u64_from_json(field(v, "stalls")?, "stalls")?,
-        corrupted_packets: u64_from_json(field(v, "corrupted")?, "corrupted")?,
-        retransmitted_packets: u64_from_json(field(v, "retransmitted")?, "retransmitted")?,
-        retransmit_backoff_cycles: u64_from_json(field(v, "backoff_cycles")?, "backoff_cycles")?,
-        latency,
-        hist_buckets: u64_vec_from_json(field(v, "hist_buckets")?, "hist_buckets")?,
-        hist_count: u64_from_json(field(v, "hist_count")?, "hist_count")?,
-        laser_energy_j: f64_from_json(field(v, "laser_j")?, "laser_j")?,
-        heating_energy_j: f64_from_json(field(v, "heating_j")?, "heating_j")?,
-        modulation_energy_j: f64_from_json(field(v, "modulation_j")?, "modulation_j")?,
-        electrical_energy_j: f64_from_json(field(v, "electrical_j")?, "electrical_j")?,
-    })
 }
 
-// ---------------------------------------------------------------------------
-// Photonics codecs
-// ---------------------------------------------------------------------------
+snap_struct!(InjectorState [bursting, remaining, rng]);
 
-/// Encodes a [`LaserState`] captured from an `OnChipLaser`.
-pub fn laser_state_to_json(s: &LaserState) -> JsonValue {
-    JsonValue::obj(vec![
-        ("powered", wavelength_state_to_json(s.powered)),
-        ("usable", wavelength_state_to_json(s.usable)),
-        ("stabilize_until", s.stabilize_until.map_or(JsonValue::Null, u64_to_json)),
-        ("transitions", u64_to_json(s.transitions)),
-        ("residency", u64_pair_array(&s.residency)),
-        ("stall_cycles", u64_to_json(s.stall_cycles)),
-        (
-            "log",
-            JsonValue::Arr(
-                s.transition_log
-                    .iter()
-                    .map(|&(at, state)| {
-                        JsonValue::Arr(vec![u64_to_json(at), wavelength_state_to_json(state)])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Decodes a [`LaserState`] written by [`laser_state_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on any field mismatch.
-pub fn laser_state_from_json(v: &JsonValue) -> Result<LaserState, SnapshotError> {
-    let residency_vec = u64_vec_from_json(field(v, "residency")?, "residency")?;
-    let residency: [u64; 5] =
-        residency_vec.try_into().map_err(|_| SnapshotError::BadShape { context: "residency" })?;
-    Ok(LaserState {
-        powered: wavelength_state_from_json(field(v, "powered")?)?,
-        usable: wavelength_state_from_json(field(v, "usable")?)?,
-        stabilize_until: match field(v, "stabilize_until")? {
-            JsonValue::Null => None,
-            other => Some(u64_from_json(other, "stabilize_until")?),
-        },
-        transitions: u64_from_json(field(v, "transitions")?, "transitions")?,
-        residency,
-        stall_cycles: u64_from_json(field(v, "stall_cycles")?, "stall_cycles")?,
-        transition_log: as_array(field(v, "log")?, "log")?
-            .iter()
-            .map(|item| {
-                let [at, state] = fixed_array(item, "log")?;
-                Ok((u64_from_json(at, "log.at")?, wavelength_state_from_json(state)?))
-            })
-            .collect::<Result<_, SnapshotError>>()?,
-    })
-}
-
-/// Encodes an RNG `(state words, draws)` tuple.
-pub fn rng_words_to_json(words: [u64; 4], draws: u64) -> JsonValue {
-    JsonValue::Arr(vec![
-        u64_to_json(words[0]),
-        u64_to_json(words[1]),
-        u64_to_json(words[2]),
-        u64_to_json(words[3]),
-        u64_to_json(draws),
-    ])
-}
-
-/// Decodes an RNG tuple written by [`rng_words_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on any field mismatch.
-pub fn rng_words_from_json(
-    v: &JsonValue,
-    context: &'static str,
-) -> Result<([u64; 4], u64), SnapshotError> {
-    let [w0, w1, w2, w3, draws] = fixed_array(v, context)?;
-    Ok((
-        [
-            u64_from_json(w0, context)?,
-            u64_from_json(w1, context)?,
-            u64_from_json(w2, context)?,
-            u64_from_json(w3, context)?,
-        ],
-        u64_from_json(draws, context)?,
-    ))
-}
-
-/// Encodes a [`FaultModelState`] captured from a `FaultModel`.
-pub fn fault_state_to_json(s: &FaultModelState) -> JsonValue {
-    JsonValue::obj(vec![
-        (
-            "routers",
-            JsonValue::Arr(
-                s.routers
-                    .iter()
-                    .map(|&(failed, ceiling)| {
-                        JsonValue::Arr(vec![
-                            usize_to_json(failed as usize),
-                            wavelength_state_to_json(ceiling),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("structural_rng", rng_words_to_json(s.structural_rng.0, s.structural_rng.1)),
-        ("corruption_rng", rng_words_to_json(s.corruption_rng.0, s.corruption_rng.1)),
-        (
-            "stats",
-            JsonValue::Arr(vec![
-                u64_to_json(s.stats.lambda_failures),
-                u64_to_json(s.stats.lambda_repairs),
-                u64_to_json(s.stats.laser_degradations),
-                u64_to_json(s.stats.laser_recoveries),
-                u64_to_json(s.stats.corrupted_packets),
+/// A traffic source's state, tagged by `kind`.
+impl Snap for TrafficState {
+    fn encode(&self) -> Result<JsonValue, SnapshotError> {
+        Ok(match self {
+            TrafficState::Model { cpu, gpu } => JsonValue::obj(vec![
+                ("kind", JsonValue::str("model")),
+                ("cpu", cpu.encode()?),
+                ("gpu", gpu.encode()?),
             ]),
-        ),
-        ("log_events", JsonValue::Bool(s.log_events)),
-        (
-            "event_log",
-            JsonValue::Arr(
-                s.event_log
-                    .iter()
-                    .map(|&(router, kind)| {
-                        JsonValue::Arr(vec![
-                            usize_to_json(router),
-                            usize_to_json(
-                                FaultEventKind::ALL.iter().position(|k| *k == kind).unwrap_or(0),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Decodes a [`FaultModelState`] written by [`fault_state_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on any field mismatch.
-pub fn fault_state_from_json(v: &JsonValue) -> Result<FaultModelState, SnapshotError> {
-    let [failures, repairs, degradations, recoveries, corrupted] =
-        fixed_array(field(v, "stats")?, "fault.stats")?;
-    Ok(FaultModelState {
-        routers: as_array(field(v, "routers")?, "fault.routers")?
-            .iter()
-            .map(|item| {
-                let [failed, ceiling] = fixed_array(item, "fault.routers")?;
-                Ok((
-                    usize_from_json(failed, "fault.routers.failed")? as u32,
-                    wavelength_state_from_json(ceiling)?,
-                ))
-            })
-            .collect::<Result<_, SnapshotError>>()?,
-        structural_rng: rng_words_from_json(field(v, "structural_rng")?, "structural_rng")?,
-        corruption_rng: rng_words_from_json(field(v, "corruption_rng")?, "corruption_rng")?,
-        stats: FaultStats {
-            lambda_failures: u64_from_json(failures, "fault.stats")?,
-            lambda_repairs: u64_from_json(repairs, "fault.stats")?,
-            laser_degradations: u64_from_json(degradations, "fault.stats")?,
-            laser_recoveries: u64_from_json(recoveries, "fault.stats")?,
-            corrupted_packets: u64_from_json(corrupted, "fault.stats")?,
-        },
-        log_events: bool_from_json(field(v, "log_events")?, "log_events")?,
-        event_log: as_array(field(v, "event_log")?, "event_log")?
-            .iter()
-            .map(|item| {
-                let [router, kind] = fixed_array(item, "event_log")?;
-                Ok((
-                    usize_from_json(router, "event_log.router")?,
-                    enum_from_index(&FaultEventKind::ALL, kind, "event_log.kind")?,
-                ))
-            })
-            .collect::<Result<_, SnapshotError>>()?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Workload codecs
-// ---------------------------------------------------------------------------
-
-/// Encodes a workload [`RngState`].
-pub fn rng_state_to_json(s: &RngState) -> JsonValue {
-    rng_words_to_json(s.words, s.draws)
-}
-
-/// Decodes a workload [`RngState`] written by [`rng_state_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on any field mismatch.
-pub fn rng_state_from_json(v: &JsonValue) -> Result<RngState, SnapshotError> {
-    let (words, draws) = rng_words_from_json(v, "rng_state")?;
-    Ok(RngState { words, draws })
-}
-
-fn injector_state_to_json(s: &InjectorState) -> JsonValue {
-    JsonValue::Arr(vec![
-        JsonValue::Bool(s.bursting),
-        u64_to_json(s.remaining),
-        rng_state_to_json(&s.rng),
-    ])
-}
-
-fn injector_state_from_json(v: &JsonValue) -> Result<InjectorState, SnapshotError> {
-    let [bursting, remaining, rng] = fixed_array(v, "injector")?;
-    Ok(InjectorState {
-        bursting: bool_from_json(bursting, "injector.bursting")?,
-        remaining: u64_from_json(remaining, "injector.remaining")?,
-        rng: rng_state_from_json(rng)?,
-    })
-}
-
-/// Encodes a [`TrafficState`] captured from a `TrafficSource`.
-pub fn traffic_state_to_json(s: &TrafficState) -> JsonValue {
-    match s {
-        TrafficState::Model { cpu, gpu } => JsonValue::obj(vec![
-            ("kind", JsonValue::str("model")),
-            ("cpu", JsonValue::Arr(cpu.iter().map(injector_state_to_json).collect())),
-            ("gpu", JsonValue::Arr(gpu.iter().map(injector_state_to_json).collect())),
-        ]),
-        TrafficState::Synthetic { rng } => JsonValue::obj(vec![
-            ("kind", JsonValue::str("synthetic")),
-            ("rng", rng_state_to_json(rng)),
-        ]),
+            TrafficState::Synthetic { rng } => {
+                JsonValue::obj(vec![("kind", JsonValue::str("synthetic")), ("rng", rng.encode()?)])
+            }
+        })
     }
-}
 
-/// Decodes a [`TrafficState`] written by [`traffic_state_to_json`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError::BadShape`] on any field mismatch.
-pub fn traffic_state_from_json(v: &JsonValue) -> Result<TrafficState, SnapshotError> {
-    match field(v, "kind")?.as_str() {
-        Some("model") => Ok(TrafficState::Model {
-            cpu: as_array(field(v, "cpu")?, "traffic.cpu")?
-                .iter()
-                .map(injector_state_from_json)
-                .collect::<Result<_, _>>()?,
-            gpu: as_array(field(v, "gpu")?, "traffic.gpu")?
-                .iter()
-                .map(injector_state_from_json)
-                .collect::<Result<_, _>>()?,
-        }),
-        Some("synthetic") => {
-            Ok(TrafficState::Synthetic { rng: rng_state_from_json(field(v, "rng")?)? })
+    fn decode(v: &JsonValue, _context: &'static str) -> Result<Self, SnapshotError> {
+        match field(v, "kind")?.as_str() {
+            Some("model") => Ok(TrafficState::Model {
+                cpu: decode_field(v, "cpu")?,
+                gpu: decode_field(v, "gpu")?,
+            }),
+            Some("synthetic") => Ok(TrafficState::Synthetic { rng: decode_field(v, "rng")? }),
+            _ => Err(bad_shape("traffic.kind")),
         }
-        _ => Err(SnapshotError::BadShape { context: "traffic.kind" }),
     }
 }
 
 // ---------------------------------------------------------------------------
 // The checkpoint envelope
 // ---------------------------------------------------------------------------
+
+/// An envelope counter through the decimal rule, which cannot fail.
+fn decimal(v: u64) -> JsonValue {
+    v.encode().expect("a u64 always encodes")
+}
 
 /// A versioned, fingerprinted, hash-sealed simulation checkpoint.
 ///
@@ -842,9 +725,9 @@ impl Checkpoint {
         JsonValue::obj(vec![
             ("version", JsonValue::u64(SNAPSHOT_VERSION)),
             ("kind", JsonValue::str(self.kind.clone())),
-            ("config_fingerprint", u64_to_json(self.config_fingerprint)),
-            ("cycle", u64_to_json(self.cycle)),
-            ("state_hash", u64_to_json(self.state_hash())),
+            ("config_fingerprint", decimal(self.config_fingerprint)),
+            ("cycle", decimal(self.cycle)),
+            ("state_hash", decimal(self.state_hash())),
             ("state", self.state.clone()),
         ])
     }
@@ -871,14 +754,11 @@ impl Checkpoint {
                 .as_str()
                 .ok_or(SnapshotError::BadShape { context: "kind" })?
                 .to_string(),
-            config_fingerprint: u64_from_json(
-                field(v, "config_fingerprint")?,
-                "config_fingerprint",
-            )?,
-            cycle: u64_from_json(field(v, "cycle")?, "cycle")?,
+            config_fingerprint: decode_field(v, "config_fingerprint")?,
+            cycle: decode_field(v, "cycle")?,
             state: field(v, "state")?.clone(),
         };
-        let sealed = u64_from_json(field(v, "state_hash")?, "state_hash")?;
+        let sealed: u64 = decode_field(v, "state_hash")?;
         let actual = checkpoint.state_hash();
         if sealed != actual {
             return Err(SnapshotError::HashMismatch { found: actual, expected: sealed });
@@ -973,26 +853,26 @@ mod tests {
     #[test]
     fn scalar_codecs_are_bit_exact_at_extremes() {
         for v in [0u64, 1, 2u64.pow(53) + 1, u64::MAX] {
-            assert_eq!(u64_from_json(&u64_to_json(v), "t").unwrap(), v);
+            assert_eq!(u64::decode(&v.encode().unwrap(), "t").unwrap(), v);
         }
         for v in [0u128, u128::from(u64::MAX) * 3, u128::MAX] {
-            assert_eq!(u128_from_json(&u128_to_json(v), "t").unwrap(), v);
+            assert_eq!(u128::decode(&v.encode().unwrap(), "t").unwrap(), v);
         }
         for v in [0.0f64, -0.0, 1.0 / 3.0, f64::MIN_POSITIVE / 2.0, f64::INFINITY, -1e308] {
-            let back = f64_from_json(&f64_to_json(v), "t").unwrap();
+            let back = f64::decode(&v.encode().unwrap(), "t").unwrap();
             assert_eq!(back.to_bits(), v.to_bits(), "{v}");
         }
         // NaN payload survives (plain equality would fail here).
         let nan = f64::from_bits(0x7ff8_dead_beef_0001);
-        assert_eq!(f64_from_json(&f64_to_json(nan), "t").unwrap().to_bits(), nan.to_bits());
+        assert_eq!(f64::decode(&nan.encode().unwrap(), "t").unwrap().to_bits(), nan.to_bits());
     }
 
     #[test]
     fn packet_and_flit_round_trip() {
         let p = sample_packet();
-        assert_eq!(packet_from_json(&packet_to_json(&p)).unwrap(), p);
+        assert_eq!(Packet::decode(&p.encode().unwrap(), "packet").unwrap(), p);
         for f in Flit::decompose(&p) {
-            assert_eq!(flit_from_json(&flit_to_json(&f)).unwrap(), f);
+            assert_eq!(Flit::decode(&f.encode().unwrap(), "flit").unwrap(), f);
         }
     }
 
@@ -1002,7 +882,7 @@ mod tests {
             "pearl",
             0xDEAD_BEEF_1234_5678,
             42_000,
-            packet_to_json(&sample_packet()),
+            sample_packet().encode().unwrap(),
         );
         let back = Checkpoint::from_json(&cp.to_json()).unwrap();
         assert_eq!(back, cp);
@@ -1049,7 +929,7 @@ mod tests {
     fn checkpoint_file_round_trip_is_atomic_and_verified() {
         let dir = std::env::temp_dir().join("pearl-telemetry-test-snapshot");
         let path = dir.join("run.checkpoint.json");
-        let cp = Checkpoint::new("cmesh", u64::MAX, 12_345, packet_to_json(&sample_packet()));
+        let cp = Checkpoint::new("cmesh", u64::MAX, 12_345, sample_packet().encode().unwrap());
         cp.write_file(&path).unwrap();
         assert_eq!(Checkpoint::read_file(&path).unwrap(), cp);
         // No temporary residue left behind.
@@ -1086,7 +966,7 @@ mod tests {
         stats.laser_energy_j = 1.0 / 3.0;
         let mut exported = stats.export_state();
         exported.latency[1].1 = u128::from(u64::MAX) + 17; // force past u64
-        let back = stats_state_from_json(&stats_state_to_json(&exported)).unwrap();
+        let back = StatsState::decode(&exported.encode().unwrap(), "stats").unwrap();
         assert_eq!(back, exported);
     }
 
@@ -1104,9 +984,9 @@ mod tests {
                 rng: RngState { words: [0; 4], draws: 0 },
             }],
         };
-        assert_eq!(traffic_state_from_json(&traffic_state_to_json(&model)).unwrap(), model);
+        assert_eq!(TrafficState::decode(&model.encode().unwrap(), "traffic").unwrap(), model);
         let synth = TrafficState::Synthetic { rng: RngState { words: [9; 4], draws: 3 } };
-        assert_eq!(traffic_state_from_json(&traffic_state_to_json(&synth)).unwrap(), synth);
+        assert_eq!(TrafficState::decode(&synth.encode().unwrap(), "traffic").unwrap(), synth);
     }
 
     #[test]
@@ -1125,7 +1005,31 @@ mod tests {
             log_events: true,
             event_log: vec![(0, FaultEventKind::LambdaFail), (1, FaultEventKind::LaserRecover)],
         };
-        assert_eq!(fault_state_from_json(&fault_state_to_json(&state)).unwrap(), state);
+        assert_eq!(FaultModelState::decode(&state.encode().unwrap(), "fault").unwrap(), state);
+    }
+
+    /// Regression: failed-lane counts read from a checkpoint used to be
+    /// narrowed with `as u32`, so 2³² + k silently became k.
+    #[test]
+    fn out_of_range_u32_is_rejected_not_truncated() {
+        let big = JsonValue::u64((1u64 << 32) + 5);
+        assert!(matches!(u32::decode(&big, "t"), Err(SnapshotError::BadShape { context: "t" })));
+        let state = FaultModelState {
+            routers: vec![(3, WavelengthState::W64)],
+            structural_rng: ([1, 2, 3, 4], 5),
+            corruption_rng: ([6, 7, 8, 9], 10),
+            stats: FaultStats::default(),
+            log_events: false,
+            event_log: vec![],
+        };
+        let mut json = state.encode().unwrap();
+        let JsonValue::Obj(pairs) = &mut json else { panic!("fault state is an object") };
+        let (_, routers) = pairs.iter_mut().find(|(k, _)| k == "routers").unwrap();
+        *routers = JsonValue::Arr(vec![JsonValue::Arr(vec![big, JsonValue::u64(4)])]);
+        assert!(matches!(
+            FaultModelState::decode(&json, "fault"),
+            Err(SnapshotError::BadShape { context: "routers" })
+        ));
     }
 
     #[test]
@@ -1139,7 +1043,7 @@ mod tests {
             stall_cycles: 12,
             transition_log: vec![(5, WavelengthState::W32), (9, WavelengthState::W64)],
         };
-        assert_eq!(laser_state_from_json(&laser_state_to_json(&state)).unwrap(), state);
+        assert_eq!(LaserState::decode(&state.encode().unwrap(), "laser").unwrap(), state);
     }
 
     #[test]
@@ -1150,14 +1054,14 @@ mod tests {
             accumulated_cycles: 4,
             rejections: 2,
         };
-        assert_eq!(buffer_state_from_json(&buffer_state_to_json(&buffer)).unwrap(), buffer);
+        assert_eq!(BufferState::decode(&buffer.encode().unwrap(), "buffer").unwrap(), buffer);
         let vc = VcState {
             flits: Flit::decompose(&sample_packet()),
             inflow: Some(u64::MAX - 1),
             route: Some(3),
         };
-        assert_eq!(vc_state_from_json(&vc_state_to_json(&vc)).unwrap(), vc);
+        assert_eq!(VcState::decode(&vc.encode().unwrap(), "vc").unwrap(), vc);
         let empty = VcState { flits: vec![], inflow: None, route: None };
-        assert_eq!(vc_state_from_json(&vc_state_to_json(&empty)).unwrap(), empty);
+        assert_eq!(VcState::decode(&empty.encode().unwrap(), "vc").unwrap(), empty);
     }
 }

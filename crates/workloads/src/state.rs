@@ -35,6 +35,19 @@ impl RngState {
     }
 }
 
+/// The `(words, draws)` pair other crates' state snapshots carry.
+impl From<([u64; 4], u64)> for RngState {
+    fn from((words, draws): ([u64; 4], u64)) -> RngState {
+        RngState { words, draws }
+    }
+}
+
+impl From<RngState> for ([u64; 4], u64) {
+    fn from(state: RngState) -> ([u64; 4], u64) {
+        (state.words, state.draws)
+    }
+}
+
 /// Dynamic state of one [`crate::OnOffInjector`].
 ///
 /// The profile and phase modulator are static configuration (rebuilt from
