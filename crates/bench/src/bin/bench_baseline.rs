@@ -223,10 +223,16 @@ fn spin_calibration(jobs: usize) -> f64 {
 /// self-justifying instead of looking like a broken pool.
 fn diagnose_speedup(jobs: usize, machine: usize, sweep: f64, spin: f64) -> String {
     let effective = jobs.min(machine);
-    if effective <= 1 {
+    if jobs <= 1 {
         format!(
-            "machine exposes {machine} hardware thread(s): {jobs} worker(s) time-slice one \
-             core, so ~1x is the ceiling, not pool overhead (pure-CPU spin control: {spin:.2}x)"
+            "one worker requested: the pooled sweep runs sequentially, so ~1x is expected, \
+             not pool overhead; this machine exposes {machine} hardware thread(s) \
+             (pure-CPU spin control: {spin:.2}x)"
+        )
+    } else if machine <= 1 {
+        format!(
+            "machine exposes one hardware thread: {jobs} workers time-slice one core, so ~1x \
+             is the ceiling, not pool overhead (pure-CPU spin control: {spin:.2}x)"
         )
     } else if sweep >= 0.75 * spin {
         format!(
@@ -502,6 +508,28 @@ fn main() {
                     .expect("write baseline");
                 eprintln!("[blessed {baseline_path}]");
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::diagnose_speedup;
+
+    /// The diagnosis names the actual limit: a one-worker request is
+    /// not a one-core machine, and a one-core machine is not a pool
+    /// that failed to scale.
+    #[test]
+    fn diagnosis_separates_one_worker_from_one_hardware_thread() {
+        for (jobs, machine, must, must_not) in [
+            (1, 2, "one worker requested", "time-slice"),
+            (2, 1, "one hardware thread: 2 workers time-slice", "worker requested"),
+            (4, 1, "one hardware thread: 4 workers time-slice", "worker requested"),
+            (2, 2, "on 2 effective worker(s)", "time-slice"),
+        ] {
+            let text = diagnose_speedup(jobs, machine, 1.0, 1.9);
+            assert!(text.contains(must), "jobs={jobs} machine={machine}: {text}");
+            assert!(!text.contains(must_not), "jobs={jobs} machine={machine}: {text}");
         }
     }
 }
