@@ -1,5 +1,6 @@
 //! CMESH configuration.
 
+use crate::routing::Port;
 use pearl_noc::Frequency;
 use pearl_workloads::Responder;
 
@@ -97,6 +98,12 @@ impl CmeshConfig {
     pub fn validate(&self) {
         assert!(self.width >= 2, "mesh must be at least 2x2");
         assert!(self.vcs_per_port >= 1, "need at least one VC");
+        assert!(
+            Port::ALL.len() * self.vcs_per_port <= 64,
+            "at most 12 VCs per port: switch allocation keeps 5 ports x {} VCs of requests \
+             per output in one 64-bit mask",
+            self.vcs_per_port
+        );
         assert!(self.slots_per_vc >= 1, "VCs need at least one slot");
         assert!(
             self.l3_nodes.iter().all(|&n| n < self.clusters()),
@@ -139,6 +146,13 @@ mod tests {
     fn duplicate_l3_nodes_rejected() {
         let mut c = CmeshConfig::pearl_baseline();
         c.l3_nodes = [5, 5];
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 12 VCs per port")]
+    fn request_masks_bound_the_vc_count() {
+        let c = CmeshConfig { vcs_per_port: 13, ..CmeshConfig::pearl_baseline() };
         c.validate();
     }
 

@@ -129,6 +129,9 @@ struct InjectState {
 }
 
 /// A flit traversing an inter-router link (plus downstream pipeline).
+///
+/// Every link flit is due [`LINK_PIPELINE_CYCLES`] after its grant, so
+/// the network keeps them in one FIFO sorted by `deliver_at`.
 #[derive(Debug)]
 struct LinkFlit {
     deliver_at: Cycle,
@@ -183,7 +186,7 @@ pub struct CmeshNetwork {
     pending_responses: Vec<VecDeque<(Cycle, Packet)>>,
     inject_current: Vec<Vec<InjectState>>,
     partial_eject: Vec<HashMap<u64, Packet>>,
-    links: Vec<LinkFlit>,
+    links: VecDeque<LinkFlit>,
     cycle_seconds: f64,
     probe: Box<dyn Probe>,
     probe_on: bool,
@@ -238,7 +241,7 @@ impl CmeshNetwork {
             pending_responses: vec![VecDeque::new(); n],
             inject_current: (0..n).map(|_| Vec::new()).collect(),
             partial_eject: vec![HashMap::new(); n],
-            links: Vec::new(),
+            links: VecDeque::new(),
             cycle_seconds,
             probe: Box::new(NullProbe),
             probe_on: false,
@@ -567,63 +570,90 @@ impl CmeshNetwork {
         }
     }
 
+    /// Moves the due link flits into their downstream input VCs. The
+    /// link FIFO is sorted by `deliver_at`, so the due flits are a
+    /// prefix.
     fn deliver_link_flits(&mut self, now: Cycle) {
-        if let Some(w) = self.work.as_deref_mut() {
-            // One sweep visit per in-flight link flit, due or not.
-            w.loop_iterations += self.links.len() as u64;
+        let mut delivered = 0;
+        while self.links.front().is_some_and(|lf| lf.deliver_at <= now) {
+            let lf = self.links.pop_front().expect("peeked");
+            self.routers[lf.dst].accept_flit(lf.port, lf.vc, lf.flit);
+            delivered += 1;
         }
-        let mut due = Vec::new();
-        self.links.retain(|lf| {
-            if lf.deliver_at <= now {
-                due.push((lf.dst, lf.port, lf.vc, lf.flit.clone()));
-                false
-            } else {
-                true
-            }
-        });
-        for (dst, port, vc, flit) in due {
-            self.routers[dst].accept_flit(port, vc, flit);
+        if let Some(w) = self.work.as_deref_mut() {
+            // One visit per due flit.
+            w.loop_iterations += delivered;
         }
     }
 
+    /// Routes every newly arrived head flit and rebuilds each router's
+    /// per-output request masks for [`Self::switch_allocation`].
     fn compute_routes(&mut self) {
+        let vcs = self.config.vcs_per_port;
         if let Some(w) = self.work.as_deref_mut() {
             // The scan always visits every (router, port, vc) channel.
-            w.loop_iterations +=
-                (self.routers.len() * Port::ALL.len() * self.config.vcs_per_port) as u64;
+            w.loop_iterations += (self.routers.len() * Port::ALL.len() * vcs) as u64;
         }
-        for i in 0..self.routers.len() {
-            let here = NodeId(i);
-            for port in Port::ALL {
-                for vc in 0..self.config.vcs_per_port {
-                    let channel = &self.routers[i].inputs[port.index()][vc];
-                    if channel.route().is_some() {
-                        continue;
-                    }
+        for (i, router) in self.routers.iter_mut().enumerate() {
+            let mut req = [0u64; 5];
+            for (p, channels) in router.inputs.iter_mut().enumerate() {
+                for (vc, channel) in channels.iter_mut().enumerate() {
                     let Some(head) = channel.peek() else { continue };
-                    let Some(packet) = head.packet.as_ref() else { continue };
-                    let out = xy_route(self.grid, here, packet.dst);
-                    self.routers[i].inputs[port.index()][vc].set_route(out.index());
+                    let out = match channel.route() {
+                        Some(out) => out,
+                        None => {
+                            let Some(packet) = head.packet.as_ref() else { continue };
+                            let out = xy_route(self.grid, NodeId(i), packet.dst).index();
+                            channel.set_route(out);
+                            out
+                        }
+                    };
+                    req[out] |= 1 << (p * vcs + vc);
                 }
             }
+            router.req = req;
         }
     }
 
+    /// Grants each router output to requesting input channels in
+    /// round-robin order, starting at the output's `rr` pointer.
+    ///
+    /// Only the channels set in the output's request mask are visited:
+    /// rotating the 64-bit mask right by `rr` puts the channels at or
+    /// after the pointer first, in order, then the wrapped-around ones
+    /// (bit `k` of the rotated word is channel `(k + rr) % 64`), which is
+    /// the order of a full `(rr + k) % n` scan over the `n = 5 × vcs`
+    /// channels. The masks stay exact for the whole call: a grant pops
+    /// only from a channel routed to that output, and no channel gains
+    /// a flit or a route until the next cycle's route computation.
+    /// Credits, link pacing and output-VC ownership are read live.
     fn switch_allocation(&mut self, now: Cycle) {
         let vcs = self.config.vcs_per_port;
         let candidates_per_output = Port::ALL.len() * vcs;
         // Counter increments are batched into locals and flushed once
-        // at the end: the candidate loop is the simulator's hottest
-        // path, and a per-iteration `Option` dereference is measurable
+        // at the end: a per-request `Option` dereference is measurable
         // wall-clock overhead where a register increment is not.
         let counting = self.work.is_some();
         let (mut scanned, mut with_work, mut candidates, mut grants) = (0u64, 0u64, 0u64, 0u64);
         for i in 0..self.routers.len() {
+            // Every buffered flit's channel requests an output (heads
+            // were routed just now, body flits follow their head's
+            // route), so a router holds flits iff a mask is non-zero.
+            let req = self.routers[i].req;
+            let has_work = req != [0; 5];
+            debug_assert_eq!(has_work, self.routers[i].buffered_flits() > 0);
             if counting {
                 scanned += 1;
-                with_work += u64::from(self.routers[i].buffered_flits() > 0);
+                with_work += u64::from(has_work);
+            }
+            if !has_work {
+                continue;
             }
             for out in Port::ALL {
+                let mask = req[out.index()];
+                if mask == 0 {
+                    continue;
+                }
                 // One grant per output port per cycle; the wide L3 local
                 // ports allow several ejections per cycle.
                 let budget = match out {
@@ -631,23 +661,18 @@ impl CmeshNetwork {
                     Port::Mesh(_) => 1,
                 };
                 let rr_start = self.routers[i].rr[out.index()];
+                let mut pending = mask.rotate_right(rr_start as u32);
                 let mut granted = 0;
-                for k in 0..candidates_per_output {
-                    if granted >= budget {
-                        break;
-                    }
+                while pending != 0 && granted < budget {
+                    let flat = (pending.trailing_zeros() as usize + rr_start) % 64;
+                    pending &= pending - 1;
                     if counting {
                         candidates += 1;
                     }
-                    let flat = (rr_start + k) % candidates_per_output;
                     let (in_port, vc) = (Port::ALL[flat / vcs], flat % vcs);
                     // Local→Local is a cluster talking to its colocated
                     // L3 slice and is perfectly valid; mesh U-turns never
                     // occur under XY routing, so no exclusion is needed.
-                    let channel = &self.routers[i].inputs[in_port.index()][vc];
-                    if channel.route() != Some(out.index()) || channel.peek().is_none() {
-                        continue;
-                    }
                     match out {
                         Port::Mesh(dir) => {
                             if self.routers[i].link_free_at[dir as usize] > now.as_u64() {
@@ -656,7 +681,9 @@ impl CmeshNetwork {
                             if !self.routers[i].has_credit(dir, vc) {
                                 continue;
                             }
-                            let head = channel.peek().expect("candidate has a flit");
+                            let head = self.routers[i].inputs[in_port.index()][vc]
+                                .peek()
+                                .expect("a requesting channel has a flit");
                             if !self.routers[i].out_vc_usable(
                                 dir,
                                 vc,
@@ -720,7 +747,7 @@ impl CmeshNetwork {
             .expect("credit existed, so the neighbor does too")
             .index();
         self.stats.electrical_energy_j += self.power.hop_energy_j(128);
-        self.links.push(LinkFlit {
+        self.links.push_back(LinkFlit {
             deliver_at: now + LINK_PIPELINE_CYCLES,
             dst,
             port: Port::Mesh(dir.opposite()),
@@ -906,11 +933,11 @@ impl CmeshNetwork {
         };
         let Some(packet) = packet else { return false };
         // A VC already claimed by a parallel stream is not free for us.
-        let claimed: Vec<usize> = self.inject_current[i].iter().map(|s| s.vc).collect();
+        let claimed = self.inject_current[i].iter().fold(0u64, |mask, s| mask | 1 << s.vc);
         let free_vc = self.routers[i].inputs[Port::Local.index()]
             .iter()
             .enumerate()
-            .position(|(vc, ch)| ch.is_free() && !claimed.contains(&vc));
+            .position(|(vc, ch)| ch.is_free() && claimed & 1 << vc == 0);
         let Some(vc) = free_vc else {
             if let Some(tracker) = self.span_tracker.as_mut() {
                 // The head of the injection queue lost this cycle's VC

@@ -106,8 +106,12 @@ impl CmeshNetwork {
         let partial_eject: Vec<HashMap<u64, Packet>> = decode_field(v, "partial_eject")?;
         check_len(partial_eject.len(), n, "partial_eject")?;
 
-        let links: Vec<LinkFlit> = decode_field(v, "links")?;
-        if links.iter().any(|lf| lf.dst >= self.routers.len() || lf.vc >= vcs) {
+        let links: VecDeque<LinkFlit> = decode_field(v, "links")?;
+        // The link FIFO delivers a due prefix, so it must be sorted by
+        // `deliver_at`; a later flit ahead of a due one would stall it.
+        if links.iter().any(|lf| lf.dst >= self.routers.len() || lf.vc >= vcs)
+            || links.iter().zip(links.iter().skip(1)).any(|(a, b)| a.deliver_at > b.deliver_at)
+        {
             return Err(SnapshotError::BadShape { context: "links" });
         }
 
@@ -239,7 +243,13 @@ impl RouterState {
         for owners in &self.out_vc_owner {
             check_len(owners.len(), vcs, "out_vc_owner")?;
         }
-        check_len(self.rr.len(), Port::ALL.len(), "rr")
+        check_len(self.rr.len(), Port::ALL.len(), "rr")?;
+        // Round-robin pointers index the 5 × vcs request bits of an
+        // output.
+        if self.rr.iter().any(|&rr| rr >= Port::ALL.len() * vcs) {
+            return Err(SnapshotError::BadShape { context: "rr" });
+        }
+        Ok(())
     }
 
     fn apply(self, router: &mut CmeshRouter, slots: u32) {
@@ -401,15 +411,18 @@ mod tests {
     /// Payloads that carry a valid hash seal but do not fit the network
     /// are refused, naming the field, before any state is touched: a
     /// link flit whose index is past `u32` (a regression: it used to be
-    /// narrowed with `as u32`, so 2³² + k silently became k) and a
-    /// chip-edge output that claims credits.
+    /// narrowed with `as u32`, so 2³² + k silently became k), a
+    /// chip-edge output that claims credits, a round-robin pointer past
+    /// the `5 × vcs` request bits of its output, and link flits out of
+    /// `deliver_at` order (the link FIFO would strand due flits behind
+    /// a later one).
     #[test]
     fn tampered_payloads_are_rejected_before_any_mutation() {
         let mut donor = build(1, 17);
         donor.run(137);
         let cp = donor.snapshot();
         type Tamper = fn(&mut JsonValue);
-        let tamperings: [(&str, Tamper); 2] = [
+        let tamperings: [(&str, Tamper); 4] = [
             ("links", |state| {
                 let flit = element(element(member(state, "links"), 0), 4);
                 *element(flit, 2) = JsonValue::u64((1u64 << 32) + 3);
@@ -419,6 +432,16 @@ mod tests {
                 let JsonValue::Arr(outputs) = credits else { panic!("out_credits") };
                 let live = outputs.iter().find(|o| **o != JsonValue::Null).unwrap().clone();
                 *outputs.iter_mut().find(|o| **o == JsonValue::Null).unwrap() = live;
+            }),
+            ("rr", |state| {
+                let rr = member(element(member(state, "routers"), 3), "rr");
+                *element(rr, 4) = JsonValue::u64(5 * 4);
+            }),
+            ("links", |state| {
+                let links = member(state, "links");
+                let JsonValue::Arr(flits) = links else { panic!("links") };
+                assert!(flits.len() >= 2, "the kill point must leave two link flits in flight");
+                *element(&mut flits[0], 0) = Cycle(1 << 40).encode().unwrap();
             }),
         ];
         for (context, tamper) in tamperings {

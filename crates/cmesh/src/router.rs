@@ -8,8 +8,9 @@ use pearl_noc::{CreditCounter, Flit, NodeId, VirtualChannel};
 /// Switch allocation itself is orchestrated by
 /// [`crate::network::CmeshNetwork`] because it touches two routers at
 /// once (credits travel upstream, flits downstream); the router owns the
-/// per-port virtual channels, the per-output credit counters and the
-/// round-robin pointers that keep arbitration fair.
+/// per-port virtual channels, the per-output credit counters, the
+/// round-robin pointers that keep arbitration fair and the per-output
+/// request masks that switch allocation iterates.
 #[derive(Debug)]
 pub struct CmeshRouter {
     node: NodeId,
@@ -25,6 +26,12 @@ pub struct CmeshRouter {
     pub(crate) out_vc_owner: Vec<Vec<Option<u64>>>,
     /// Per-output round-robin pointer over flattened (input, vc) pairs.
     pub(crate) rr: Vec<usize>,
+    /// Per-output request masks, indexed `[Port::index()]`: bit
+    /// `port * vcs + vc` is set iff that input channel holds a flit
+    /// routed to the output. Derived scratch, rebuilt by route
+    /// computation every cycle before switch allocation reads it; never
+    /// snapshotted, never hashed.
+    pub(crate) req: [u64; 5],
     /// Earliest cycle each mesh output link is free again (bandwidth-
     /// reduced links pace flits out more slowly).
     pub(crate) link_free_at: [u64; 4],
@@ -56,6 +63,7 @@ impl CmeshRouter {
             out_credits,
             out_vc_owner,
             rr: vec![0; 5],
+            req: [0; 5],
             link_free_at: [0; 4],
         }
     }

@@ -97,3 +97,16 @@ fn counters_are_excluded_from_snapshots_and_state_hashes() {
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
     assert_eq!(counted.state_hash(), restored.state_hash());
 }
+
+#[test]
+fn switch_allocation_examines_only_requesting_channels() {
+    // `arb_attempts` counts requests examined, not the 5 × vcs slots of
+    // every output: an output with no requester costs no attempt, so
+    // most attempts win. A full slot scan reads ≈ 0.99 here.
+    let mut net = CmeshBuilder::new().seed(1).build(pair());
+    net.enable_work_counters();
+    net.run(CYCLES);
+    let arb_loss = net.work_counters().expect("counters enabled").ratios().arb_loss;
+    let arb_loss = arb_loss.expect("arbitration ran");
+    assert!(arb_loss < 0.5, "arb_loss {arb_loss}");
+}
