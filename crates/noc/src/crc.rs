@@ -6,22 +6,24 @@
 //! mismatch triggers the NACK/retransmission path in `pearl-core`.
 //!
 //! The polynomial is the IEEE 802.3 reflected CRC-32 (0xEDB88320),
-//! computed with a 16-entry nibble table — small enough to live in
-//! cache next to the hot loop, fast enough for per-packet use.
+//! computed a byte at a time from a 256-entry table (1 KiB, built at
+//! compile time): one lookup per byte, and every packet is checksummed
+//! twice (at launch and at landing).
 
 use crate::packet::Packet;
 
 /// Reflected IEEE 802.3 polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-/// Nibble-at-a-time CRC table (16 entries).
-const fn nibble_table() -> [u32; 16] {
-    let mut table = [0u32; 16];
+/// Byte-at-a-time CRC table: entry `n` is the CRC register after
+/// shifting the byte `n` through eight bit steps.
+const fn byte_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
     let mut n = 0;
-    while n < 16 {
+    while n < 256 {
         let mut crc = n as u32;
         let mut bit = 0;
-        while bit < 4 {
+        while bit < 8 {
             crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
             bit += 1;
         }
@@ -31,14 +33,13 @@ const fn nibble_table() -> [u32; 16] {
     table
 }
 
-static TABLE: [u32; 16] = nibble_table();
+static TABLE: [u32; 256] = byte_table();
 
 /// CRC-32 (IEEE) of a byte slice.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
-        crc = (crc >> 4) ^ TABLE[((crc ^ u32::from(b)) & 0xF) as usize];
-        crc = (crc >> 4) ^ TABLE[((crc ^ u32::from(b >> 4)) & 0xF) as usize];
+        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -63,7 +64,21 @@ mod tests {
     use super::*;
     use crate::cycle::Cycle;
     use crate::packet::{CoreType, TrafficClass};
+    use crate::rng::SimRng;
     use crate::topology::NodeId;
+
+    /// The bit-serial definition of the reflected CRC-32: the oracle
+    /// the table-driven [`crc32`] must agree with.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -71,6 +86,18 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    #[test]
+    fn table_crc_matches_the_bit_serial_definition() {
+        let mut rng = SimRng::from_seed(0xC3C3);
+        for len in 0..=64 {
+            for _ in 0..8 {
+                let bytes: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+                assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "{bytes:02x?}");
+            }
+        }
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]
