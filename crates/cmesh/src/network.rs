@@ -15,7 +15,7 @@ use pearl_telemetry::{
     set_alloc_section, NullProbe, NullSink, Probe, ProfileReport, Section, SelfProfiler, Span,
     SpanKind, SpanSink, SubSection, TraceEvent, WorkCounters,
 };
-use pearl_workloads::{BenchmarkPair, Destination, TrafficModel, TrafficSource};
+use pearl_workloads::{BenchmarkPair, Destination, InjectionRequest, TrafficModel, TrafficSource};
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
@@ -174,6 +174,9 @@ pub struct CmeshNetwork {
     routers: Vec<CmeshRouter>,
     power: ElectricalPowerModel,
     traffic: Box<dyn TrafficSource>,
+    /// Reused buffer for each cycle's generated requests (derived
+    /// scratch, empty between cycles; never snapshotted or hashed).
+    requests: Vec<InjectionRequest>,
     /// Workload seed the network was built with — static identity for
     /// the checkpoint config fingerprint (the live RNG state lives in
     /// `traffic`).
@@ -232,6 +235,7 @@ impl CmeshNetwork {
             routers,
             power,
             traffic,
+            requests: Vec::new(),
             seed,
             stats: NetworkStats::new(),
             now: Cycle::ZERO,
@@ -545,10 +549,13 @@ impl CmeshNetwork {
     fn generate_traffic(&mut self, now: Cycle) {
         let stall = self.config.stall_backlog;
         let backlogs = &self.backlogs;
-        let requests = self.traffic.generate(now, &|cluster, core| {
-            backlogs[cluster][usize::from(core == CoreType::Gpu)].len() >= stall
-        });
-        for req in requests {
+        let mut requests = std::mem::take(&mut self.requests);
+        self.traffic.generate(
+            now,
+            &|cluster, core| backlogs[cluster][usize::from(core == CoreType::Gpu)].len() >= stall,
+            &mut requests,
+        );
+        for req in requests.drain(..) {
             let id = self.fresh_id();
             let dst = self.destination_node(req.cluster, req.dst);
             let packet =
@@ -568,6 +575,7 @@ impl CmeshNetwork {
                 self.backlogs[req.cluster][lane].push_back(packet);
             }
         }
+        self.requests = requests;
     }
 
     /// Moves the due link flits into their downstream input VCs. The

@@ -109,6 +109,10 @@ pub enum ConfigError {
         /// Which core type (`"CPU"` or `"GPU"`).
         core: &'static str,
     },
+    /// A response must become ready after the cycle its request was
+    /// ejected in, so each router's response queue stays ordered by
+    /// ready time.
+    ZeroServiceLatency,
     /// Laser turn-on time must be non-negative (NaN is also rejected).
     InvalidTurnOnTime {
         /// The rejected value in nanoseconds.
@@ -138,6 +142,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroOutstandingWindow { core } => {
                 write!(f, "{core} outstanding window must be ≥ 1")
             }
+            ConfigError::ZeroServiceLatency => write!(f, "responder service latency must be ≥ 1"),
             ConfigError::InvalidTurnOnTime { ns } => {
                 write!(f, "turn-on time must be non-negative, got {ns} ns")
             }
@@ -276,6 +281,9 @@ impl PearlConfig {
         if self.gpu_outstanding_limit < 1 {
             return Err(ConfigError::ZeroOutstandingWindow { core: "GPU" });
         }
+        if self.responder.service_latency(true) < 1 || self.responder.service_latency(false) < 1 {
+            return Err(ConfigError::ZeroServiceLatency);
+        }
         if self.laser_turn_on_ns < 0.0 || self.laser_turn_on_ns.is_nan() {
             return Err(ConfigError::InvalidTurnOnTime { ns: self.laser_turn_on_ns });
         }
@@ -367,6 +375,16 @@ mod tests {
         assert_eq!(c.check(), Err(ConfigError::InvalidTurnOnTime { ns: -1.0 }));
         c.laser_turn_on_ns = f64::NAN;
         assert!(matches!(c.check(), Err(ConfigError::InvalidTurnOnTime { .. })));
+    }
+
+    #[test]
+    fn zero_service_latency_is_rejected() {
+        let mut c = PearlConfig::pearl();
+        c.responder.peer_service_latency = 0;
+        assert_eq!(c.check(), Err(ConfigError::ZeroServiceLatency));
+        c = PearlConfig::pearl();
+        c.responder.l3_service_latency = 0;
+        assert_eq!(c.check(), Err(ConfigError::ZeroServiceLatency));
     }
 
     #[test]

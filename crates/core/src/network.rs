@@ -36,7 +36,7 @@ use pearl_telemetry::{
     set_alloc_section, NullProbe, NullSink, Probe, ProfileReport, Section, SelfProfiler, Span,
     SpanKind, SpanSink, SubSection, TraceEvent, TransitionCause, WorkCounters,
 };
-use pearl_workloads::{BenchmarkPair, Destination, TrafficModel, TrafficSource};
+use pearl_workloads::{BenchmarkPair, Destination, InjectionRequest, TrafficModel, TrafficSource};
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
@@ -250,6 +250,18 @@ pub struct PearlNetwork {
     power_model: PowerModel,
     routers: Vec<PearlRouter>,
     traffic: Box<dyn TrafficSource>,
+    /// Laser power per channel of each wavelength state (indexed by
+    /// [`WavelengthState::index`]), evaluated once from `power_model` so
+    /// the per-cycle energy accounting is a lookup. Derived state, like
+    /// `heating_w`: never snapshotted or hashed.
+    laser_w: [f64; 5],
+    /// Ring-heating power per channel of each wavelength state.
+    heating_w: [f64; 5],
+    /// This cycle's generated requests: a reused buffer, empty between
+    /// cycles, never snapshotted or hashed (likewise `landed`).
+    requests: Vec<InjectionRequest>,
+    /// This cycle's landed flights.
+    landed: Vec<InFlight>,
     dba: DynamicBandwidthAllocator,
     fine: Option<FineGrainedAllocator>,
     rng: SimRng,
@@ -362,9 +374,13 @@ impl PearlNetwork {
         PearlNetwork {
             config,
             policy,
+            laser_w: WavelengthState::ALL.map(|s| power_model.laser_power_w(s)),
+            heating_w: WavelengthState::ALL.map(|s| power_model.heating_power_w(s)),
             power_model,
             routers,
             traffic,
+            requests: Vec::new(),
+            landed: Vec::new(),
             dba,
             fine,
             rng: SimRng::from_seed(seed ^ POLICY_SEED_SALT),
@@ -793,15 +809,20 @@ impl PearlNetwork {
         // forward progress and generates no further misses this cycle.
         let stall_threshold = CORE_STALL_BACKLOG;
         let routers = &self.routers;
-        let requests = self.traffic.generate(now, &|cluster, core| {
-            let router = &routers[cluster];
-            let backlog = match core {
-                CoreType::Cpu => router.cpu_backlog.len(),
-                CoreType::Gpu => router.gpu_backlog.len(),
-            };
-            backlog >= stall_threshold
-        });
-        for req in requests {
+        let mut requests = std::mem::take(&mut self.requests);
+        self.traffic.generate(
+            now,
+            &|cluster, core| {
+                let router = &routers[cluster];
+                let backlog = match core {
+                    CoreType::Cpu => router.cpu_backlog.len(),
+                    CoreType::Gpu => router.gpu_backlog.len(),
+                };
+                backlog >= stall_threshold
+            },
+            &mut requests,
+        );
+        for req in requests.drain(..) {
             let id = self.fresh_id();
             let dst = self.destination_node(req.dst);
             let packet =
@@ -825,6 +846,7 @@ impl PearlNetwork {
                 }
             }
         }
+        self.requests = requests;
         self.drain_backlogs();
     }
 
@@ -870,8 +892,17 @@ impl PearlNetwork {
         }
     }
 
+    /// Moves due endpoint responses into the input lanes.
+    ///
+    /// A `pending_responses` queue never holds a not-yet-due entry
+    /// ahead of an earlier one (DESIGN.md §3 gives the proof; restore
+    /// rejects a queue that breaks it), so a queue whose front is not
+    /// due holds nothing due and is skipped.
     fn release_responses(&mut self, now: Cycle) {
         for router in &mut self.routers {
+            if router.pending_responses.front().is_none_or(|(ready, _)| *ready > now) {
+                continue;
+            }
             if router.shared_input_pool {
                 // FCFS router: one response stream, strict FIFO — a
                 // blocked head (e.g. a GPU response with the pool full)
@@ -892,25 +923,38 @@ impl PearlNetwork {
                 }
             } else {
                 // Partitioned router: per-lane order is preserved, but a
-                // blocked lane does not hold the other lane back.
+                // blocked lane does not hold the other lane back. The due
+                // entries are a prefix of the queue and are handled in
+                // place: a released entry is removed, the first entry to
+                // fail on each lane becomes due next cycle, later entries
+                // of a blocked lane keep their slot and ready time, and
+                // once both lanes are blocked the rest of the prefix
+                // stays put.
                 let mut blocked = [false; 2];
-                let mut remaining = std::collections::VecDeque::new();
-                while let Some((ready, packet)) = router.pending_responses.pop_front() {
+                let mut i = 0;
+                while !(blocked[0] && blocked[1]) {
+                    let Some((ready, packet)) = router.pending_responses.get(i) else { break };
+                    if *ready > now {
+                        break;
+                    }
                     let lane = usize::from(packet.core == CoreType::Gpu);
-                    if ready > now || blocked[lane] {
-                        remaining.push_back((ready, packet));
+                    if blocked[lane] {
+                        i += 1;
                         continue;
                     }
-                    let for_stats = packet.clone();
-                    match router.enqueue_local(packet) {
-                        Ok(()) => self.stats.record_injection(&for_stats),
-                        Err(err) => {
+                    match router.enqueue_local(packet.clone()) {
+                        Ok(()) => {
+                            if let Some((_, released)) = router.pending_responses.remove(i) {
+                                self.stats.record_injection(&released);
+                            }
+                        }
+                        Err(_) => {
                             blocked[lane] = true;
-                            remaining.push_back((now + 1, err.0));
+                            router.pending_responses[i].0 = now + 1;
+                            i += 1;
                         }
                     }
                 }
-                router.pending_responses = remaining;
             }
         }
     }
@@ -999,16 +1043,9 @@ impl PearlNetwork {
             // One sweep visit per in-flight transfer, landed or not.
             w.loop_iterations += self.in_flight.len() as u64;
         }
-        let mut landed = Vec::new();
-        self.in_flight.retain(|flight| {
-            if flight.deliver_at <= now {
-                landed.push(flight.clone());
-                false
-            } else {
-                true
-            }
-        });
-        for flight in landed {
+        let mut landed = std::mem::take(&mut self.landed);
+        landed.extend(self.in_flight.extract_if(.., |flight| flight.deliver_at <= now));
+        for flight in landed.drain(..) {
             if flight.wire_crc == packet_checksum(&flight.packet) {
                 if let Some(tracker) = self.span_tracker.as_mut() {
                     tracker.landed.insert(flight.packet.id, (now.as_u64(), flight.attempts));
@@ -1059,6 +1096,7 @@ impl PearlNetwork {
                 });
             }
         }
+        self.landed = landed;
     }
 
     fn start_transfers(&mut self, now: Cycle) {
@@ -1067,6 +1105,17 @@ impl PearlNetwork {
             return;
         }
         for i in 0..self.routers.len() {
+            if !self.has_launch_work(i) {
+                // Nothing to launch: a launch attempt would find no retry
+                // and no lane head and change nothing, so only finished
+                // channels are freed.
+                for channel in &mut self.routers[i].channels {
+                    if channel.as_ref().is_some_and(|t| t.busy_until <= now) {
+                        *channel = None;
+                    }
+                }
+                continue;
+            }
             let channel_count = self.routers[i].channel_count();
             let mut launched_any = false;
             for c in 0..channel_count {
@@ -1096,6 +1145,13 @@ impl PearlNetwork {
         }
     }
 
+    /// True when router `i` holds a packet it could launch: a lane head
+    /// or a queued retransmission.
+    fn has_launch_work(&self, i: usize) -> bool {
+        let router = &self.routers[i];
+        !(router.cpu_in.is_empty() && router.gpu_in.is_empty() && self.retransmit[i].is_empty())
+    }
+
     /// MWSR with token arbitration: each *destination* owns its data
     /// channel(s); the circulating token decides which source may write.
     /// A holder whose queue heads do not target the destination passes
@@ -1120,7 +1176,9 @@ impl PearlNetwork {
                 }
                 self.routers[d].channels[c] = None;
                 let holder = self.tokens[d];
-                let started = holder != d && self.try_start_mwsr_transfer(holder, d, c, now);
+                let started = holder != d
+                    && self.has_launch_work(holder)
+                    && self.try_start_mwsr_transfer(holder, d, c, now);
                 started_any |= started;
                 if let Some(w) = self.work.as_deref_mut() {
                     w.arb_grants += u64::from(started);
@@ -1539,10 +1597,9 @@ impl PearlNetwork {
             }
             router.laser.tick(now.as_u64());
             let channels = router.channel_count() as f64;
-            let powered = router.laser.powered_state();
-            self.stats.laser_energy_j += channels * self.power_model.laser_power_w(powered) * dt;
-            self.stats.heating_energy_j +=
-                channels * self.power_model.heating_power_w(powered) * dt;
+            let powered = router.laser.powered_state().index();
+            self.stats.laser_energy_j += channels * self.laser_w[powered] * dt;
+            self.stats.heating_energy_j += channels * self.heating_w[powered] * dt;
         }
         for (router, from, to) in clamped {
             self.probe.record(&TraceEvent::WavelengthTransition {

@@ -126,6 +126,8 @@ impl PearlNetwork {
         check_len(router_states.len(), self.routers.len(), "routers")?;
         for (state, router) in router_states.iter().zip(&self.routers) {
             check_len(state.channels.len(), router.channels.len(), "channels")?;
+            let latency = self.config.responder.service_latency(router.is_l3());
+            state.check_queues(Cycle(now), latency)?;
         }
         let in_flight = decode_field(v, "in_flight")?;
         let stats: StatsState = decode_field(v, "stats")?;
@@ -283,6 +285,31 @@ snap_struct!(RouterState {
 });
 
 impl RouterState {
+    /// Checks the two queue invariants the step loop's fast paths rely
+    /// on: an issue backlog holds only requests (its flits are counted
+    /// as `len × REQUEST_FLITS`), and in `pending_responses` no entry
+    /// that is not yet due at `now` is followed by an earlier one (so
+    /// the due entries are a prefix). Every live response was scheduled
+    /// at most `latency` cycles after an earlier cycle, so an entry at
+    /// or past `now + latency` is refused too: responses the network
+    /// schedules from here on must queue behind every restored one.
+    fn check_queues(&self, now: Cycle, latency: u64) -> Result<(), SnapshotError> {
+        for (backlog, context) in
+            [(&self.cpu_backlog, "cpu_backlog"), (&self.gpu_backlog, "gpu_backlog")]
+        {
+            if backlog.iter().any(|p| p.kind != PacketKind::Request) {
+                return Err(SnapshotError::BadShape { context });
+            }
+        }
+        let queue = &self.pending_responses;
+        let out_of_order =
+            queue.iter().zip(queue.iter().skip(1)).any(|(a, b)| a.0 > now && b.0 < a.0);
+        if out_of_order || queue.iter().any(|(ready, _)| *ready >= now + latency) {
+            return Err(SnapshotError::BadShape { context: "pending_responses" });
+        }
+        Ok(())
+    }
+
     fn capture(router: &PearlRouter) -> RouterState {
         RouterState {
             cpu_in: router.cpu_in.export_state(),
@@ -447,6 +474,7 @@ mod tests {
     use crate::config::PearlConfig;
     use crate::ml_scaling::FallbackConfig;
     use crate::policy::PearlPolicy;
+    use pearl_noc::{NodeId, TrafficClass};
     use pearl_photonics::FaultConfig;
     use pearl_telemetry::snapshot::{enum_from_index, enum_index};
     use pearl_telemetry::SharedRecorder;
@@ -790,6 +818,85 @@ mod tests {
         net.run(1_500);
         let fallible = net.try_snapshot().unwrap();
         assert_eq!(fallible, net.snapshot());
+    }
+
+    fn member<'a>(v: &'a mut JsonValue, key: &str) -> &'a mut JsonValue {
+        let JsonValue::Obj(pairs) = v else { panic!("{key}: not in an object") };
+        &mut pairs.iter_mut().find(|(k, _)| k == key).unwrap().1
+    }
+
+    fn router_field<'a>(state: &'a mut JsonValue, router: usize, key: &str) -> &'a mut JsonValue {
+        let JsonValue::Arr(routers) = member(state, "routers") else { panic!("routers") };
+        member(&mut routers[router], key)
+    }
+
+    fn response(id: u64) -> Packet {
+        Packet::response(id, NodeId(16), NodeId(2), CoreType::Cpu, TrafficClass::L3, Cycle(0))
+    }
+
+    /// Payloads that carry a valid hash seal but break a queue invariant
+    /// of the step loop are refused, naming the field, before any state
+    /// is touched: a response in a core issue backlog, a response queue
+    /// whose front is not due at the snapshot cycle while a later entry
+    /// is, and a response ready later than the router's service latency
+    /// allows.
+    #[test]
+    fn tampered_payloads_are_rejected_before_any_mutation() {
+        let mut donor = build(PearlPolicy::dyn_64wl(), FaultConfig::off(), false, 89);
+        donor.run(1_000);
+        let cp = donor.snapshot();
+        let now = cp.cycle;
+        type Tamper = Box<dyn Fn(&mut JsonValue)>;
+        let append_response = |key: &'static str| -> Tamper {
+            Box::new(move |state| {
+                let JsonValue::Arr(backlog) = router_field(state, 3, key) else { panic!("{key}") };
+                backlog.push(response(1 << 40).encode().unwrap());
+            })
+        };
+        let tamperings: [(&str, Tamper); 4] = [
+            ("cpu_backlog", append_response("cpu_backlog")),
+            ("gpu_backlog", append_response("gpu_backlog")),
+            (
+                "pending_responses",
+                Box::new(move |state| {
+                    let queue: VecDeque<(Cycle, Packet)> =
+                        [(Cycle(now + 10), response(1 << 40)), (Cycle(now), response(1 << 41))]
+                            .into();
+                    *router_field(state, 16, "pending_responses") = queue.encode().unwrap();
+                }),
+            ),
+            (
+                "pending_responses",
+                Box::new(move |state| {
+                    // Past the L3's 24-cycle service horizon.
+                    let queue: VecDeque<(Cycle, Packet)> =
+                        [(Cycle(now + 24), response(1 << 40))].into();
+                    *router_field(state, 16, "pending_responses") = queue.encode().unwrap();
+                }),
+            ),
+        ];
+        for (context, tamper) in tamperings {
+            let mut state = cp.state.clone();
+            tamper(&mut state);
+            // Reseal, so only the codec stands between the payload and
+            // the network.
+            let sealed = Checkpoint::new(cp.kind.clone(), cp.config_fingerprint, cp.cycle, state);
+            let resealed = Checkpoint::from_json(&sealed.to_json()).unwrap();
+
+            let mut twin = build(PearlPolicy::dyn_64wl(), FaultConfig::off(), false, 89);
+            twin.run(500);
+            let before = twin.state_hash();
+            let result = twin.restore(&resealed);
+            assert!(
+                matches!(result, Err(SnapshotError::BadShape { context: c }) if c == context),
+                "{context}: {result:?}"
+            );
+            assert_eq!(twin.state_hash(), before, "{context}: failed restore must not mutate");
+        }
+        // The untampered payload restores.
+        let mut twin = build(PearlPolicy::dyn_64wl(), FaultConfig::off(), false, 89);
+        twin.restore(&cp).unwrap();
+        assert_eq!(twin.state_hash(), donor.state_hash());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use crate::arbiter::WeightedArbiter;
 use crate::dba::BandwidthAllocation;
 use crate::features::WindowCounters;
+use pearl_noc::packet::REQUEST_FLITS;
 use pearl_noc::{BufferFullError, CoreType, Cycle, Packet, PacketBuffer};
 use pearl_photonics::{OnChipLaser, WavelengthState};
 use std::collections::VecDeque;
@@ -151,6 +152,17 @@ impl PearlRouter {
     /// and the miss is lost to the measurement, modeling a stalled
     /// pipeline slot).
     pub(crate) fn accept_request(&mut self, packet: Packet) -> Result<(), Packet> {
+        if self.cpu_backlog.capacity() < CORE_BACKLOG_PACKETS
+            || self.gpu_backlog.capacity() < CORE_BACKLOG_PACKETS
+        {
+            // The first request (and the first after a restore) sizes
+            // both backlogs to their bound, so neither reallocates later,
+            // even when one core type first issues long after the other.
+            // Building a router stays allocation-free.
+            for backlog in [&mut self.cpu_backlog, &mut self.gpu_backlog] {
+                backlog.reserve_exact(CORE_BACKLOG_PACKETS.saturating_sub(backlog.len()));
+            }
+        }
         let backlog = match packet.core {
             CoreType::Cpu => &mut self.cpu_backlog,
             CoreType::Gpu => &mut self.gpu_backlog,
@@ -229,13 +241,16 @@ impl PearlRouter {
     /// "packets injected from the CPU and GPU cores" queue (§III-B); with
     /// our execution-driven cores, demand that stalled at the issue stage
     /// must count too, or flow control would hide it from the DBA.
+    ///
+    /// A backlog only ever holds core requests ([`Self::accept_request`]
+    /// is its one producer, and restore rejects anything else), so its
+    /// flits are its length times [`REQUEST_FLITS`].
     fn lane_pressure_flits(&self, core: CoreType) -> u32 {
         let backlog = match core {
             CoreType::Cpu => &self.cpu_backlog,
             CoreType::Gpu => &self.gpu_backlog,
         };
-        let backlog_flits: u32 = backlog.iter().map(Packet::flits).sum();
-        self.lane(core).occupied_slots() + backlog_flits
+        self.lane(core).occupied_slots() + backlog.len() as u32 * REQUEST_FLITS
     }
 
     /// Instantaneous fractional occupancies (β_CPU, β_GPU) of Eq. 1–2,

@@ -149,6 +149,12 @@ impl PacketBuffer {
             return Err(BufferFullError(packet));
         }
         self.occupied_slots += flits;
+        if self.queue.len() == self.queue.capacity() {
+            // Every packet takes at least one slot, so growing straight
+            // to the capacity is the buffer's last reallocation.
+            let bound = self.capacity_slots as usize;
+            self.queue.reserve_exact(bound.saturating_sub(self.queue.len()));
+        }
         self.queue.push_back(packet);
         Ok(())
     }

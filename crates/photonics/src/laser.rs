@@ -202,10 +202,7 @@ impl OnChipLaser {
             return;
         }
         self.transitions += 1;
-        if self.transition_log.len() >= TRANSITION_LOG_CAP {
-            self.transition_log.remove(0);
-        }
-        self.transition_log.push((now, target));
+        self.log(now, target);
         if target <= self.usable {
             // Shrinking (or aborting a pending grow): instantaneous.
             self.powered = target;
@@ -218,6 +215,18 @@ impl OnChipLaser {
         }
     }
 
+    /// Appends to the bounded transition log, dropping the oldest entry
+    /// at the cap. The log grows straight to its cap the first time it
+    /// fills, so it reallocates at most once.
+    fn log(&mut self, now: Cycle, state: WavelengthState) {
+        if self.transition_log.len() >= TRANSITION_LOG_CAP {
+            self.transition_log.remove(0);
+        } else if self.transition_log.len() == self.transition_log.capacity() {
+            self.transition_log.reserve_exact(TRANSITION_LOG_CAP - self.transition_log.len());
+        }
+        self.transition_log.push((now, state));
+    }
+
     /// Clamps the bank to a degraded fault ceiling (e.g. from
     /// [`crate::FaultModel::laser_ceiling`]). Like any scale-down this
     /// is instantaneous: banks above the ceiling go dark now. A pending
@@ -228,10 +237,7 @@ impl OnChipLaser {
             return;
         }
         self.transitions += 1;
-        if self.transition_log.len() >= TRANSITION_LOG_CAP {
-            self.transition_log.remove(0);
-        }
-        self.transition_log.push((now, ceiling));
+        self.log(now, ceiling);
         self.powered = self.powered.min(ceiling);
         self.usable = self.usable.min(ceiling);
         if self.powered <= self.usable {

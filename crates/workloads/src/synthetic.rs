@@ -64,6 +64,18 @@ impl SyntheticTraffic {
     /// Advances one cycle and returns the injection requests.
     pub fn step(&mut self, _now: Cycle) -> Vec<InjectionRequest> {
         let mut out = Vec::new();
+        self.step_into(|_, _| false, &mut out);
+        out
+    }
+
+    /// [`Self::step`] appending into a caller-owned buffer, leaving out
+    /// the requests of `dropped` (cluster, core type) sources. Every
+    /// draw is made either way, so dropping does not shift the stream.
+    fn step_into(
+        &mut self,
+        dropped: impl Fn(usize, CoreType) -> bool,
+        out: &mut Vec<InjectionRequest>,
+    ) {
         for cluster in 0..self.clusters {
             if !self.rng.chance(self.rate) {
                 continue;
@@ -87,9 +99,10 @@ impl SyntheticTraffic {
                 CoreType::Cpu => TrafficClass::CpuL1Data,
                 CoreType::Gpu => TrafficClass::GpuL1,
             };
-            out.push(InjectionRequest { cluster, core: self.core, class, dst });
+            if !dropped(cluster, self.core) {
+                out.push(InjectionRequest { cluster, core: self.core, class, dst });
+            }
         }
-        out
     }
 }
 
@@ -100,11 +113,12 @@ impl TrafficSource for SyntheticTraffic {
 
     fn generate(
         &mut self,
-        now: Cycle,
+        _now: Cycle,
         stalled: &dyn Fn(usize, CoreType) -> bool,
-    ) -> Vec<InjectionRequest> {
+        out: &mut Vec<InjectionRequest>,
+    ) {
         // Memoryless Bernoulli sources "pause" by dropping the draw.
-        self.step(now).into_iter().filter(|r| !stalled(r.cluster, r.core)).collect()
+        self.step_into(stalled, out);
     }
 
     fn export_state(&self) -> TrafficState {

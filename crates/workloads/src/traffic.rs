@@ -15,14 +15,17 @@ pub trait TrafficSource: fmt::Debug {
     /// Number of clusters this source generates traffic for.
     fn clusters(&self) -> usize;
 
-    /// Advances one cycle; `stalled` reports which (cluster, core type)
-    /// sources must pause (execution gating). Sources that cannot pause
-    /// may drop the gated requests instead.
+    /// Advances one cycle, appending this cycle's requests to `out`;
+    /// `stalled` reports which (cluster, core type) sources must pause
+    /// (execution gating). Sources that cannot pause may drop the gated
+    /// requests instead. The caller owns `out` and reuses it across
+    /// cycles, so a steady-state cycle allocates nothing.
     fn generate(
         &mut self,
         now: Cycle,
         stalled: &dyn Fn(usize, CoreType) -> bool,
-    ) -> Vec<InjectionRequest>;
+        out: &mut Vec<InjectionRequest>,
+    );
 
     /// Captures the source's dynamic state (RNG streams, dwell counters)
     /// for a checkpoint.
@@ -53,8 +56,9 @@ impl TrafficSource for TrafficModel {
         &mut self,
         now: Cycle,
         stalled: &dyn Fn(usize, CoreType) -> bool,
-    ) -> Vec<InjectionRequest> {
-        self.step_gated(now, stalled)
+        out: &mut Vec<InjectionRequest>,
+    ) {
+        self.step_gated_into(now, stalled, out);
     }
 
     fn export_state(&self) -> TrafficState {
@@ -197,6 +201,17 @@ impl TrafficModel {
         stalled: impl Fn(usize, CoreType) -> bool,
     ) -> Vec<InjectionRequest> {
         let mut out = Vec::new();
+        self.step_gated_into(now, stalled, &mut out);
+        out
+    }
+
+    /// [`Self::step_gated`] appending into a caller-owned buffer.
+    fn step_gated_into(
+        &mut self,
+        now: Cycle,
+        stalled: impl Fn(usize, CoreType) -> bool,
+        out: &mut Vec<InjectionRequest>,
+    ) {
         for cluster in 0..self.clusters {
             for core in CoreType::ALL {
                 if stalled(cluster, core) {
@@ -226,7 +241,6 @@ impl TrafficModel {
                 }
             }
         }
-        out
     }
 }
 
