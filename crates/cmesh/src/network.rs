@@ -15,7 +15,9 @@ use pearl_telemetry::{
     set_alloc_section, NullProbe, NullSink, Probe, ProfileReport, Section, SelfProfiler, Span,
     SpanKind, SpanSink, SubSection, TraceEvent, WorkCounters,
 };
-use pearl_workloads::{BenchmarkPair, Destination, InjectionRequest, TrafficModel, TrafficSource};
+use pearl_workloads::{
+    BenchmarkPair, Destination, InjectionRequest, StallMask, TrafficModel, TrafficSource,
+};
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
@@ -177,6 +179,10 @@ pub struct CmeshNetwork {
     /// Reused buffer for each cycle's generated requests (derived
     /// scratch, empty between cycles; never snapshotted or hashed).
     requests: Vec<InjectionRequest>,
+    /// Which cores are stalled: set where a backlog crosses
+    /// `stall_backlog` and rebuilt on restore (derived, never
+    /// snapshotted or hashed).
+    stall_mask: StallMask,
     /// Workload seed the network was built with — static identity for
     /// the checkpoint config fingerprint (the live RNG state lives in
     /// `traffic`).
@@ -236,6 +242,7 @@ impl CmeshNetwork {
             power,
             traffic,
             requests: Vec::new(),
+            stall_mask: StallMask::new(n),
             seed,
             stats: NetworkStats::new(),
             now: Cycle::ZERO,
@@ -547,14 +554,9 @@ impl CmeshNetwork {
     // ----- per-cycle phases ------------------------------------------------
 
     fn generate_traffic(&mut self, now: Cycle) {
-        let stall = self.config.stall_backlog;
-        let backlogs = &self.backlogs;
+        debug_assert!(self.stall_mask_is_current(), "stale stall mask");
         let mut requests = std::mem::take(&mut self.requests);
-        self.traffic.generate(
-            now,
-            &|cluster, core| backlogs[cluster][usize::from(core == CoreType::Gpu)].len() >= stall,
-            &mut requests,
-        );
+        self.traffic.generate(now, &self.stall_mask, &mut requests);
         for req in requests.drain(..) {
             let id = self.fresh_id();
             let dst = self.destination_node(req.cluster, req.dst);
@@ -573,9 +575,37 @@ impl CmeshNetwork {
             } else {
                 self.stats.record_injection(&packet);
                 self.backlogs[req.cluster][lane].push_back(packet);
+                self.refresh_stall(req.cluster, lane);
             }
         }
         self.requests = requests;
+    }
+
+    /// Brings the stall flag of one core lane (0 CPU, 1 GPU) of cluster
+    /// `i` up to date after its backlog changed.
+    fn refresh_stall(&mut self, i: usize, lane: usize) {
+        let stalled = self.backlogs[i][lane].len() >= self.config.stall_backlog;
+        self.stall_mask.set(i, CoreType::ALL[lane], stalled);
+    }
+
+    /// Brings every flag of the stall mask up to date (after restore).
+    pub(crate) fn refresh_stall_mask(&mut self) {
+        for i in 0..self.backlogs.len() {
+            for lane in 0..2 {
+                self.refresh_stall(i, lane);
+            }
+        }
+    }
+
+    /// True when every stall flag matches its backlog: the check behind
+    /// the incremental updates, run in debug builds.
+    fn stall_mask_is_current(&self) -> bool {
+        self.backlogs.iter().enumerate().all(|(i, lanes)| {
+            (0..2).all(|lane| {
+                self.stall_mask.is_stalled(i, CoreType::ALL[lane])
+                    == (lanes[lane].len() >= self.config.stall_backlog)
+            })
+        })
     }
 
     /// Moves the due link flits into their downstream input VCs. The
@@ -936,6 +966,7 @@ impl CmeshNetwork {
             chosen.map(|(lane, _)| {
                 let packet = self.backlogs[i][lane].pop_front().expect("non-empty");
                 self.outstanding[i][lane] += 1;
+                self.refresh_stall(i, lane);
                 packet
             })
         };
@@ -961,6 +992,7 @@ impl CmeshNetwork {
                     let lane = usize::from(packet.core == CoreType::Gpu);
                     self.outstanding[i][lane] -= 1;
                     self.backlogs[i][lane].push_front(packet);
+                    self.refresh_stall(i, lane);
                 }
             }
             return false;

@@ -132,6 +132,7 @@ impl CmeshNetwork {
             state.apply(router, self.config.slots_per_vc as u32);
         }
         self.backlogs = backlogs;
+        self.refresh_stall_mask();
         self.outstanding = outstanding;
         self.pending_responses = pending_responses;
         self.inject_current = inject_current;

@@ -18,7 +18,7 @@
 //!    training collection).
 
 use crate::config::{ConfigError, Fabric, PearlConfig};
-use crate::dba::{DynamicBandwidthAllocator, FineGrainedAllocator};
+use crate::dba::{BandwidthAllocation, DynamicBandwidthAllocator, FineGrainedAllocator};
 use crate::features::{FeatureVector, FEATURE_COUNT};
 use crate::metrics::RunSummary;
 use crate::ml_scaling::{DegradationLadder, ScalingMode};
@@ -36,7 +36,9 @@ use pearl_telemetry::{
     set_alloc_section, NullProbe, NullSink, Probe, ProfileReport, Section, SelfProfiler, Span,
     SpanKind, SpanSink, SubSection, TraceEvent, TransitionCause, WorkCounters,
 };
-use pearl_workloads::{BenchmarkPair, Destination, InjectionRequest, TrafficModel, TrafficSource};
+use pearl_workloads::{
+    BenchmarkPair, Destination, InjectionRequest, StallMask, TrafficModel, TrafficSource,
+};
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
@@ -262,6 +264,10 @@ pub struct PearlNetwork {
     requests: Vec<InjectionRequest>,
     /// This cycle's landed flights.
     landed: Vec<InFlight>,
+    /// Which cores are stalled: set where an issue backlog crosses
+    /// [`CORE_STALL_BACKLOG`] and rebuilt on restore. Derived state,
+    /// never snapshotted or hashed.
+    stall_mask: StallMask,
     dba: DynamicBandwidthAllocator,
     fine: Option<FineGrainedAllocator>,
     rng: SimRng,
@@ -381,6 +387,7 @@ impl PearlNetwork {
             traffic,
             requests: Vec::new(),
             landed: Vec::new(),
+            stall_mask: StallMask::new(clusters),
             dba,
             fine,
             rng: SimRng::from_seed(seed ^ POLICY_SEED_SALT),
@@ -807,21 +814,9 @@ impl PearlNetwork {
     fn inject_workload(&mut self, now: Cycle) {
         // A core whose issue backlog has built up is stalled: it makes no
         // forward progress and generates no further misses this cycle.
-        let stall_threshold = CORE_STALL_BACKLOG;
-        let routers = &self.routers;
+        debug_assert!(self.stall_mask_is_current(), "stale stall mask");
         let mut requests = std::mem::take(&mut self.requests);
-        self.traffic.generate(
-            now,
-            &|cluster, core| {
-                let router = &routers[cluster];
-                let backlog = match core {
-                    CoreType::Cpu => router.cpu_backlog.len(),
-                    CoreType::Gpu => router.gpu_backlog.len(),
-                };
-                backlog >= stall_threshold
-            },
-            &mut requests,
-        );
+        self.traffic.generate(now, &self.stall_mask, &mut requests);
         for req in requests.drain(..) {
             let id = self.fresh_id();
             let dst = self.destination_node(req.dst);
@@ -833,7 +828,10 @@ impl PearlNetwork {
             self.routers[req.cluster].counters.record_injected(&packet);
             let for_stats = packet.clone();
             match self.routers[req.cluster].accept_request(packet) {
-                Ok(()) => self.stats.record_injection(&for_stats),
+                Ok(()) => {
+                    self.stats.record_injection(&for_stats);
+                    self.refresh_stall(req.cluster, req.core);
+                }
                 Err(_) => {
                     self.stats.record_injection_stall();
                     if self.probe_on {
@@ -860,6 +858,7 @@ impl PearlNetwork {
                     CoreType::Cpu => self.config.cpu_outstanding_limit,
                     CoreType::Gpu => self.config.gpu_outstanding_limit,
                 };
+                let issued = self.outstanding[i][k];
                 while self.outstanding[i][k] < limit {
                     let router = &mut self.routers[i];
                     let head_flits = match core {
@@ -888,8 +887,43 @@ impl PearlNetwork {
                     }
                     self.outstanding[i][k] += 1;
                 }
+                if self.outstanding[i][k] != issued {
+                    self.refresh_stall(i, core);
+                }
             }
         }
+    }
+
+    /// True when core `core` of cluster `i` has a full enough issue
+    /// backlog to stall.
+    fn core_stalled(&self, i: usize, core: CoreType) -> bool {
+        self.routers[i].backlog(core).len() >= CORE_STALL_BACKLOG
+    }
+
+    /// Brings the stall mask's flag for one core up to date after its
+    /// backlog changed.
+    fn refresh_stall(&mut self, i: usize, core: CoreType) {
+        let stalled = self.core_stalled(i, core);
+        self.stall_mask.set(i, core, stalled);
+    }
+
+    /// Brings every flag of the stall mask up to date (after restore).
+    pub(crate) fn refresh_stall_mask(&mut self) {
+        for i in 0..self.config.clusters {
+            for core in CoreType::ALL {
+                self.refresh_stall(i, core);
+            }
+        }
+    }
+
+    /// True when every stall flag matches its backlog: the check behind
+    /// the incremental updates, run in debug builds.
+    fn stall_mask_is_current(&self) -> bool {
+        (0..self.config.clusters).all(|i| {
+            CoreType::ALL
+                .into_iter()
+                .all(|c| self.stall_mask.is_stalled(i, c) == self.core_stalled(i, c))
+        })
     }
 
     /// Moves due endpoint responses into the input lanes.
@@ -973,69 +1007,87 @@ impl PearlNetwork {
         effective.serialization_cycles() as f64 / usable.serialization_cycles() as f64
     }
 
+    /// Algorithm 1 steps 1–3 at every router. The split is a function
+    /// of the two lane pressures alone when the run is fault-free (the
+    /// fault scale is exactly 1), so a router whose pressures equal the
+    /// ones its split was computed from keeps that split without
+    /// recomputing it; a faulted run recomputes every router.
     fn run_dba(&mut self) {
-        match self.policy.bandwidth {
-            BandwidthPolicy::Dynamic(_) => {
-                for i in 0..self.routers.len() {
-                    let scale = self.fault_pressure_scale(i);
-                    let (beta_cpu, beta_gpu, changed, share) = {
-                        let router = &mut self.routers[i];
-                        let (beta_cpu, beta_gpu) = router.betas();
-                        let prev = router.allocation;
-                        router.allocation = self
-                            .dba
-                            .allocate((beta_cpu * scale).min(1.0), (beta_gpu * scale).min(1.0));
-                        router.cpu_share = router.allocation.share(CoreType::Cpu);
-                        (beta_cpu, beta_gpu, router.allocation != prev, router.cpu_share)
-                    };
-                    if let Some(w) = self.work.as_deref_mut() {
-                        w.dba_invocations += 1;
-                        w.dba_reallocs += u64::from(changed);
-                    }
-                    if self.probe_on && changed {
-                        self.probe.record(&TraceEvent::DbaRealloc {
-                            router: i,
-                            at: self.now.as_u64(),
-                            beta_cpu,
-                            beta_gpu,
-                            cpu_share: share,
-                        });
-                    }
-                }
-            }
+        let fine = match self.policy.bandwidth {
+            BandwidthPolicy::Fcfs => return,
+            BandwidthPolicy::Dynamic(_) => None,
             BandwidthPolicy::DynamicFine { .. } => {
-                let Some(fine) = self.fine else {
+                if self.fine.is_none() {
                     // from_parts builds the allocator with the policy.
                     debug_assert!(false, "fine allocator missing under DynamicFine");
                     return;
-                };
-                for i in 0..self.routers.len() {
-                    let scale = self.fault_pressure_scale(i);
-                    let (beta_cpu, beta_gpu, changed, share) = {
-                        let router = &mut self.routers[i];
-                        let (beta_cpu, beta_gpu) = router.betas();
-                        let prev = router.cpu_share;
-                        router.cpu_share = fine
-                            .cpu_share((beta_cpu * scale).min(1.0), (beta_gpu * scale).min(1.0));
-                        (beta_cpu, beta_gpu, router.cpu_share != prev, router.cpu_share)
-                    };
-                    if let Some(w) = self.work.as_deref_mut() {
-                        w.dba_invocations += 1;
-                        w.dba_reallocs += u64::from(changed);
-                    }
-                    if self.probe_on && changed {
-                        self.probe.record(&TraceEvent::DbaRealloc {
-                            router: i,
-                            at: self.now.as_u64(),
-                            beta_cpu,
-                            beta_gpu,
-                            cpu_share: share,
-                        });
-                    }
                 }
+                self.fine
             }
-            BandwidthPolicy::Fcfs => {}
+        };
+        let faulted = self.fault.is_enabled();
+        for i in 0..self.routers.len() {
+            let pressures = self.routers[i].lane_pressures();
+            if !faulted && self.routers[i].dba_key == Some(pressures) {
+                debug_assert!(self.dba_split_is_current(i, fine), "stale DBA split at router {i}");
+                continue;
+            }
+            let (beta_cpu, beta_gpu) = self.routers[i].betas_of(pressures);
+            let (allocation, share) = self.fresh_split(i, (beta_cpu, beta_gpu), fine);
+            let router = &mut self.routers[i];
+            router.dba_key = (!faulted).then_some(pressures);
+            let changed = match allocation {
+                Some(allocation) => {
+                    std::mem::replace(&mut router.allocation, allocation) != allocation
+                }
+                None => router.cpu_share != share,
+            };
+            router.cpu_share = share;
+            if let Some(w) = self.work.as_deref_mut() {
+                w.dba_invocations += 1;
+                w.dba_reallocs += u64::from(changed);
+            }
+            if self.probe_on && changed {
+                self.probe.record(&TraceEvent::DbaRealloc {
+                    router: i,
+                    at: self.now.as_u64(),
+                    beta_cpu,
+                    beta_gpu,
+                    cpu_share: share,
+                });
+            }
         }
+    }
+
+    /// The split Algorithm 1 gives router `i` at occupancies `betas`
+    /// under its current fault scale: the discrete allocation (`None`
+    /// under the fine-grained allocator, which sets only the share) and
+    /// the CPU share.
+    fn fresh_split(
+        &self,
+        i: usize,
+        (beta_cpu, beta_gpu): (f64, f64),
+        fine: Option<FineGrainedAllocator>,
+    ) -> (Option<BandwidthAllocation>, f64) {
+        let scale = self.fault_pressure_scale(i);
+        let (beta_cpu, beta_gpu) = ((beta_cpu * scale).min(1.0), (beta_gpu * scale).min(1.0));
+        match fine {
+            None => {
+                let allocation = self.dba.allocate(beta_cpu, beta_gpu);
+                (Some(allocation), allocation.share(CoreType::Cpu))
+            }
+            Some(fine) => (None, fine.cpu_share(beta_cpu, beta_gpu)),
+        }
+    }
+
+    /// True when router `i`'s split in force is the one a fresh
+    /// allocation gives its current lanes: the check behind the DBA's
+    /// skip, run in debug builds.
+    fn dba_split_is_current(&self, i: usize, fine: Option<FineGrainedAllocator>) -> bool {
+        let router = &self.routers[i];
+        let (allocation, share) = self.fresh_split(i, router.betas(), fine);
+        allocation.is_none_or(|a| a == router.allocation)
+            && share.to_bits() == router.cpu_share.to_bits()
     }
 
     fn land_deliveries(&mut self, now: Cycle) {
@@ -1624,10 +1676,25 @@ impl PearlNetwork {
             }
             return;
         };
+        // Router `i`'s window closes when `t > offset_i` and `t ≡ offset_i
+        // (mod window)`: one division for `t`, and the offsets' residues
+        // advance by addition. A zero window (refused by
+        // `PowerPolicy::check`, not by `build`) never closes.
+        let t = now.as_u64() + 1;
+        let Some(phase) = t.checked_rem(window) else {
+            if let Some(w) = self.work.as_deref_mut() {
+                w.window_checks += self.routers.len() as u64;
+            }
+            return;
+        };
+        let mut offset_residue = 0;
         for i in 0..self.routers.len() {
             let offset = WINDOW_OFFSET_PER_ROUTER * i as u64;
-            let t = now.as_u64() + 1;
-            let open = t > offset && (t - offset).is_multiple_of(window);
+            let open = t > offset && offset_residue == phase;
+            offset_residue += WINDOW_OFFSET_PER_ROUTER;
+            if offset_residue >= window {
+                offset_residue %= window;
+            }
             if let Some(w) = self.work.as_deref_mut() {
                 w.window_checks += 1;
                 w.windows_open += u64::from(open);
@@ -2121,5 +2188,70 @@ mod tests {
             assert_zero_loss(&net);
         }
         assert!(net.stats().retransmitted_packets() > 0);
+    }
+
+    #[test]
+    fn windows_close_on_the_per_router_offset_schedule() {
+        // Windows shorter than the router offsets make the offset
+        // residues wrap; 500 is the shipped reactive window. A zero
+        // window, which `build` does not refuse, never closes.
+        for window in [0, 1, 7, 10, 25, 500] {
+            let mut net = quick_net(PearlPolicy::reactive(window), 4);
+            let recorder = pearl_telemetry::SharedRecorder::new();
+            net.attach_probe(Box::new(recorder.clone()));
+            let cycles = 2_000;
+            net.run(cycles);
+            let closed: Vec<(usize, u64)> = recorder
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::WindowClose { router, at, .. } => Some((*router, *at)),
+                    _ => None,
+                })
+                .collect();
+            let expected: Vec<(usize, u64)> = (0..cycles)
+                .flat_map(|now| {
+                    let t = now + 1;
+                    (0..net.routers().len()).filter_map(move |i| {
+                        let offset = WINDOW_OFFSET_PER_ROUTER * i as u64;
+                        (t > offset && (t - offset).is_multiple_of(window)).then_some((i, now))
+                    })
+                })
+                .collect();
+            assert_eq!(closed, expected, "window {window}");
+        }
+    }
+
+    #[test]
+    fn keyed_dba_matches_recomputing_every_router() {
+        // λ failures that are repaired ten times faster than they strike
+        // flip the fault pressure scale between 1 and 2 while the lane
+        // pressures stay put.
+        let flapping = FaultConfig {
+            lambda_fail_per_cycle: 0.05,
+            lambda_repair_per_cycle: 0.5,
+            laser_degrade_per_cycle: 0.01,
+            laser_recover_per_cycle: 0.1,
+            corruption_per_packet: 0.0,
+            seed: 21,
+        };
+        for policy in [PearlPolicy::dyn_64wl(), PearlPolicy::dyn_fine(0.0625)] {
+            for fault in [FaultConfig::off(), flapping] {
+                let mut keyed = fault_net(fault, policy.clone(), 8);
+                let mut reference = fault_net(fault, policy.clone(), 8);
+                for cycle in 0..3_000 {
+                    keyed.step();
+                    for router in &mut reference.routers {
+                        router.dba_key = None;
+                    }
+                    reference.step();
+                    for (a, b) in keyed.routers.iter().zip(&reference.routers) {
+                        assert_eq!(a.allocation, b.allocation, "router {} at {cycle}", a.index);
+                        assert_eq!(a.cpu_share.to_bits(), b.cpu_share.to_bits());
+                    }
+                }
+                assert_eq!(keyed.state_hash(), reference.state_hash());
+            }
+        }
     }
 }

@@ -178,6 +178,7 @@ impl PearlNetwork {
         for (router, state) in self.routers.iter_mut().zip(router_states) {
             state.apply(router);
         }
+        self.refresh_stall_mask();
         self.in_flight = in_flight;
         self.stats.import_state(&stats);
         self.fault.import_state(&fault);
@@ -343,6 +344,8 @@ impl RouterState {
         router.arbiter = WeightedArbiter::from_credits(self.credits.0, self.credits.1);
         router.allocation = self.allocation;
         router.cpu_share = self.cpu_share;
+        // Derived: the next DBA pass recomputes the restored lanes' split.
+        router.dba_key = None;
         router.counters = self.counters;
         router.beta_accum = self.beta_accum;
         router.pending_responses = self.pending_responses;

@@ -58,6 +58,12 @@ pub struct PearlRouter {
     /// `allocation` for the discrete policy, or set directly by the
     /// fine-grained allocator.
     pub(crate) cpu_share: f64,
+    /// The lane pressures (CPU, GPU flits) `allocation` and `cpu_share`
+    /// were last computed from, so the DBA can skip a router whose
+    /// pressures have not changed; `None` forces a recomputation (a new
+    /// or restored router, or a faulted run). Derived state: never
+    /// snapshotted or hashed.
+    pub(crate) dba_key: Option<(u32, u32)>,
     /// Per-window event counters.
     pub(crate) counters: WindowCounters,
     /// Σ over the window of combined input-buffer occupancy (for
@@ -116,6 +122,7 @@ impl PearlRouter {
             arbiter: WeightedArbiter::new(),
             allocation: BandwidthAllocation::default(),
             cpu_share: 0.5,
+            dba_key: None,
             counters: WindowCounters::new(),
             beta_accum: 0.0,
             pending_responses: VecDeque::new(),
@@ -246,22 +253,35 @@ impl PearlRouter {
     /// is its one producer, and restore rejects anything else), so its
     /// flits are its length times [`REQUEST_FLITS`].
     fn lane_pressure_flits(&self, core: CoreType) -> u32 {
-        let backlog = match core {
+        self.lane(core).occupied_slots() + self.backlog(core).len() as u32 * REQUEST_FLITS
+    }
+
+    /// Issue backlog of one core type.
+    pub(crate) fn backlog(&self, core: CoreType) -> &VecDeque<Packet> {
+        match core {
             CoreType::Cpu => &self.cpu_backlog,
             CoreType::Gpu => &self.gpu_backlog,
-        };
-        self.lane(core).occupied_slots() + backlog.len() as u32 * REQUEST_FLITS
+        }
+    }
+
+    /// The (CPU, GPU) lane pressures in flits: everything the DBA's
+    /// inputs are computed from.
+    pub(crate) fn lane_pressures(&self) -> (u32, u32) {
+        (self.lane_pressure_flits(CoreType::Cpu), self.lane_pressure_flits(CoreType::Gpu))
     }
 
     /// Instantaneous fractional occupancies (β_CPU, β_GPU) of Eq. 1–2,
     /// clamped to 1.
     pub(crate) fn betas(&self) -> (f64, f64) {
-        let beta = |core: CoreType| {
-            (f64::from(self.lane_pressure_flits(core))
-                / f64::from(self.lane(core).capacity_slots()))
-            .min(1.0)
+        self.betas_of(self.lane_pressures())
+    }
+
+    /// The fractional occupancies of the given [`Self::lane_pressures`].
+    pub(crate) fn betas_of(&self, (cpu, gpu): (u32, u32)) -> (f64, f64) {
+        let beta = |flits: u32, core: CoreType| {
+            (f64::from(flits) / f64::from(self.lane(core).capacity_slots())).min(1.0)
         };
-        (beta(CoreType::Cpu), beta(CoreType::Gpu))
+        (beta(cpu, CoreType::Cpu), beta(gpu, CoreType::Gpu))
     }
 
     /// Combined fractional occupancy of both input buffers

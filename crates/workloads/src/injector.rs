@@ -25,6 +25,10 @@ pub struct OnOffInjector {
     phases: PhaseModulator,
     state: SourceState,
     rng: SimRng,
+    /// `(injection_rate·(1−depth), injection_rate·(1+depth))`, the band
+    /// the modulated rate stays in, when its top is below 1 (see
+    /// [`Self::step`]); `None` keeps the whole-packets path.
+    band: Option<(f64, f64)>,
 }
 
 impl OnOffInjector {
@@ -41,7 +45,10 @@ impl OnOffInjector {
         } else {
             SourceState::Off { remaining: Self::dwell(&mut rng, profile.idle_mean_len.max(1.0)) }
         };
-        OnOffInjector { profile, phases, state, rng }
+        let high = profile.injection_rate * (1.0 + profile.phase_depth);
+        let low = profile.injection_rate * (1.0 - profile.phase_depth);
+        let band = (high < 1.0).then_some((low, high));
+        OnOffInjector { profile, phases, state, rng, band }
     }
 
     fn dwell(rng: &mut SimRng, mean: f64) -> u64 {
@@ -63,6 +70,16 @@ impl OnOffInjector {
 
     /// Advances one cycle and returns how many packets the source wants
     /// to inject this cycle (usually 0 or 1; may exceed 1 for rates > 1).
+    ///
+    /// An ON source draws one uniform `u` and injects `⌊rate⌋ + [u <
+    /// frac]` packets, where `rate = injection_rate × factor(now)`. When
+    /// the rate's band top `injection_rate·(1+depth)` is below 1, the
+    /// draw comes first and the phase factor (a `sin`) is evaluated only
+    /// if `u` falls inside the band: the factor lies in `[1−depth,
+    /// 1+depth]` after rounding (`|sin| ≤ 1` and rounding is monotone),
+    /// so `rate` lies in the precomputed band, `⌊rate⌋ = 0`, and `u`
+    /// above the band rejects while `u` below it accepts — the same
+    /// count and the same single draw as evaluating the rate first.
     pub fn step(&mut self, now: Cycle) -> u32 {
         // Dwell-time bookkeeping.
         self.state = match self.state {
@@ -77,6 +94,16 @@ impl OnOffInjector {
         };
         if !self.is_bursting() {
             return 0;
+        }
+        if let Some((low, high)) = self.band {
+            let u = self.rng.uniform();
+            if u >= high {
+                return 0;
+            }
+            if u < low {
+                return 1;
+            }
+            return u32::from(u < self.profile.injection_rate * self.phases.factor(now));
         }
         let rate = self.profile.injection_rate * self.phases.factor(now);
         let whole = rate.floor() as u32;
@@ -116,7 +143,76 @@ impl OnOffInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::benchmark::{CpuBenchmark, GpuBenchmark};
     use crate::profile::ClassMix;
+
+    impl OnOffInjector {
+        /// The rate-first formula [`OnOffInjector::step`] replaced: the
+        /// phase factor on every ON cycle, then one Bernoulli draw on
+        /// the fractional rate. The oracle for the draw-first band test.
+        fn step_reference(&mut self, now: Cycle) -> u32 {
+            self.state = match self.state {
+                SourceState::On { remaining: 0 } => SourceState::Off {
+                    remaining: Self::dwell(&mut self.rng, self.profile.idle_mean_len.max(1.0)),
+                },
+                SourceState::Off { remaining: 0 } => SourceState::On {
+                    remaining: Self::dwell(&mut self.rng, self.profile.burst_mean_len),
+                },
+                SourceState::On { remaining } => SourceState::On { remaining: remaining - 1 },
+                SourceState::Off { remaining } => SourceState::Off { remaining: remaining - 1 },
+            };
+            if !self.is_bursting() {
+                return 0;
+            }
+            let rate = self.profile.injection_rate * self.phases.factor(now);
+            let whole = rate.floor() as u32;
+            let frac = rate - f64::from(whole);
+            whole + u32::from(self.rng.chance(frac))
+        }
+    }
+
+    #[test]
+    fn draw_first_step_matches_the_rate_first_formula() {
+        let edge = |rate: f64, depth: f64, period: u64| TrafficProfile {
+            injection_rate: rate,
+            burst_mean_len: 40.0,
+            idle_mean_len: 20.0,
+            l3_fraction: 0.5,
+            phase_period: period,
+            phase_depth: depth,
+            class_mix: ClassMix::balanced(),
+        };
+        let profiles: Vec<TrafficProfile> = CpuBenchmark::ALL
+            .iter()
+            .map(|b| b.profile())
+            .chain(GpuBenchmark::ALL.iter().map(|b| b.profile()))
+            .chain([
+                edge(0.45, 1.0, 700), // the factor reaches 0 and 2
+                edge(0.5, 1.0, 64),   // band top exactly 1: whole-packets path
+                edge(0.8, 0.4, 300),  // band top above 1
+                edge(2.5, 0.3, 500),  // several packets a cycle
+                edge(0.3, 0.5, 0),    // period 0: no modulation
+                edge(0.3, 0.0, 900),  // depth 0: no modulation
+                edge(0.0, 0.5, 100),  // a silent source
+                edge(1.0, 0.0, 0),    // exactly one packet a cycle
+            ])
+            .collect();
+        let mut stalls = SimRng::from_seed(0x5EED);
+        for (k, profile) in profiles.into_iter().enumerate() {
+            let seed = 100 + k as u64;
+            let mut fast = OnOffInjector::new(profile, SimRng::from_seed(seed), 37 * k as u64);
+            let mut oracle = OnOffInjector::new(profile, SimRng::from_seed(seed), 37 * k as u64);
+            for c in 0..20_000u64 {
+                // A stalled source does not step this cycle.
+                if stalls.chance(0.2) {
+                    continue;
+                }
+                assert_eq!(fast.step(Cycle(c)), oracle.step_reference(Cycle(c)), "{k} at {c}");
+                assert_eq!(fast.rng.draws(), oracle.rng.draws(), "{k} at {c}");
+            }
+            assert_eq!(fast.export_state(), oracle.export_state(), "profile {k}");
+        }
+    }
 
     fn profile(rate: f64, burst: f64, idle: f64) -> TrafficProfile {
         TrafficProfile {

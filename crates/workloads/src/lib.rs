@@ -54,4 +54,4 @@ pub use responder::Responder;
 pub use state::{InjectorState, RngState, TrafficState, TrafficStateError};
 pub use synthetic::{SyntheticPattern, SyntheticTraffic};
 pub use trace::{TraceParseError, TraceReplay, TrafficTrace};
-pub use traffic::{Destination, InjectionRequest, TrafficModel, TrafficSource};
+pub use traffic::{Destination, InjectionRequest, StallMask, TrafficModel, TrafficSource};

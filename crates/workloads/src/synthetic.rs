@@ -5,7 +5,7 @@
 //! benchmark-derived models.
 
 use crate::state::{RngState, TrafficState, TrafficStateError};
-use crate::traffic::{Destination, InjectionRequest, TrafficSource};
+use crate::traffic::{Destination, InjectionRequest, StallMask, TrafficSource};
 use pearl_noc::{CoreType, Cycle, SimRng, TrafficClass};
 
 /// A synthetic traffic pattern.
@@ -111,14 +111,9 @@ impl TrafficSource for SyntheticTraffic {
         SyntheticTraffic::clusters(self)
     }
 
-    fn generate(
-        &mut self,
-        _now: Cycle,
-        stalled: &dyn Fn(usize, CoreType) -> bool,
-        out: &mut Vec<InjectionRequest>,
-    ) {
+    fn generate(&mut self, _now: Cycle, stalled: &StallMask, out: &mut Vec<InjectionRequest>) {
         // Memoryless Bernoulli sources "pause" by dropping the draw.
-        self.step_into(stalled, out);
+        self.step_into(|cluster, core| stalled.is_stalled(cluster, core), out);
     }
 
     fn export_state(&self) -> TrafficState {
